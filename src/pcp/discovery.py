@@ -19,12 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernel as ker
-from .errors import BackendUnavailable, CapabilityError
+from .errors import BackendUnavailable
 from .simnet import WAN_LINK, SimNode, PeerAddress, SimulatedNetwork
 
 DEFAULT_TTL = 86_400.0  # records may linger for up to 24 hours
-CAP_GLOBAL = "global"
-CAP_LOCAL = "local-network"
 
 
 @dataclass
@@ -87,13 +85,6 @@ class ProviderStream:
             except ker.WaitTimeout:
                 continue
 
-    async def collect(self) -> list[PeerAddress]:
-        """Drain the stream to its deadline (test convenience)."""
-        out = []
-        while (addr := await self.next()) is not None:
-            out.append(addr)
-        return out
-
     def cancel(self) -> None:
         if not self._cancelled:
             self._cancelled = True
@@ -101,15 +92,31 @@ class ProviderStream:
 
 
 class DiscoveryBackend:
-    """Common surface both backend families implement."""
+    """Common surface both backend families implement.
 
-    capabilities: frozenset[str] = frozenset()
-    query_interval: float = 0.5
+    Each operation sleeps a uniform draw from ``op_latency`` seconds on the
+    backend's own RNG stream; lookups poll every ``query_interval`` seconds.
+    """
 
-    def __init__(self, network: SimulatedNetwork):
+    op_latency: tuple[float, float]
+    query_interval: float
+    rng_stream: str
+
+    def __init__(
+        self,
+        network: SimulatedNetwork,
+        *,
+        op_latency: tuple[float, float] | None = None,
+        query_interval: float | None = None,
+    ):
         self.network = network
         self.kernel = network.kernel
         self.started = True
+        if op_latency is not None:
+            self.op_latency = op_latency
+        if query_interval is not None:
+            self.query_interval = query_interval
+        self._rng = self.kernel.rng(self.rng_stream)
 
     @property
     def name(self) -> str:
@@ -122,6 +129,10 @@ class DiscoveryBackend:
         if not self.started:
             raise BackendUnavailable(f"{self.name} is stopped")
 
+    def _draw(self) -> float:
+        lo, hi = self.op_latency
+        return lo if hi <= lo else self._rng.uniform(lo, hi)
+
     async def provide(self, node: SimNode, key: bytes, ttl: float = DEFAULT_TTL):
         raise NotImplementedError
 
@@ -133,13 +144,6 @@ class DiscoveryBackend:
     async def _query_once(self, node: SimNode, key: bytes) -> list[PeerAddress]:
         raise NotImplementedError
 
-    # local-network operations; only meaningful with CAP_LOCAL
-    async def local_advertise(self, node: SimNode, key: bytes, ttl: float = DEFAULT_TTL):
-        raise CapabilityError(f"{self.name} has no local-network capability")
-
-    def local_query(self, node: SimNode, key: bytes, deadline: float) -> ProviderStream:
-        raise CapabilityError(f"{self.name} has no local-network capability")
-
 
 class SimulatedDht(DiscoveryBackend):
     """Global provider-record store with per-operation latency.
@@ -150,24 +154,13 @@ class SimulatedDht(DiscoveryBackend):
     discovery without turning into hard errors.
     """
 
-    capabilities = frozenset({CAP_GLOBAL})
+    op_latency = (0.2, 0.8)
+    query_interval = 0.5
+    rng_stream = "dht.latency"
 
-    def __init__(
-        self,
-        network: SimulatedNetwork,
-        *,
-        op_latency: tuple[float, float] = (0.2, 0.8),
-        query_interval: float = 0.5,
-    ):
-        super().__init__(network)
-        self.op_latency = op_latency
-        self.query_interval = query_interval
+    def __init__(self, network: SimulatedNetwork, **timing):
+        super().__init__(network, **timing)
         self._records: dict[bytes, dict[str, ProviderRecord]] = {}
-        self._rng = self.kernel.rng("dht.latency")
-
-    def _draw(self) -> float:
-        lo, hi = self.op_latency
-        return lo if hi <= lo else self._rng.uniform(lo, hi)
 
     async def provide(self, node: SimNode, key: bytes, ttl: float = DEFAULT_TTL):
         self._check_started()
@@ -207,25 +200,14 @@ class SimulatedDht(DiscoveryBackend):
 class SimulatedMdns(DiscoveryBackend):
     """Link-scoped advertisement table standing in for multicast discovery."""
 
-    capabilities = frozenset({CAP_LOCAL})
+    op_latency = (0.002, 0.008)
+    query_interval = 0.25
+    rng_stream = "mdns.latency"
 
-    def __init__(
-        self,
-        network: SimulatedNetwork,
-        *,
-        op_latency: tuple[float, float] = (0.002, 0.008),
-        query_interval: float = 0.25,
-    ):
-        super().__init__(network)
-        self.op_latency = op_latency
-        self.query_interval = query_interval
+    def __init__(self, network: SimulatedNetwork, **timing):
+        super().__init__(network, **timing)
         # link id -> key -> peer id -> record
         self._ads: dict[str, dict[bytes, dict[str, ProviderRecord]]] = {}
-        self._rng = self.kernel.rng("mdns.latency")
-
-    def _draw(self) -> float:
-        lo, hi = self.op_latency
-        return lo if hi <= lo else self._rng.uniform(lo, hi)
 
     def _local_links(self, node: SimNode):
         for link_id in node.links:
@@ -235,7 +217,16 @@ class SimulatedMdns(DiscoveryBackend):
             if link.up:
                 yield link
 
+    async def provide(self, node: SimNode, key: bytes, ttl: float = DEFAULT_TTL):
+        await self.local_advertise(node, key, ttl)
+
     async def local_advertise(self, node: SimNode, key: bytes, ttl: float = DEFAULT_TTL):
+        """The body of ``provide``: announce on every live local link.
+
+        Kept under its own name because the benchmark's span tracer
+        (``perfbench/tracing.py``) wraps ``SimulatedMdns.local_advertise``
+        by name; call ``provide`` instead.
+        """
         self._check_started()
         await ker.sleep(self._draw())
         record = ProviderRecord(key, node.address, self.kernel.now(), ttl)
@@ -249,13 +240,6 @@ class SimulatedMdns(DiscoveryBackend):
                 link=link.link_id,
                 key=key.hex()[:16],
             )
-
-    # provide/find_providers are the generic spellings of advertise/query
-    async def provide(self, node: SimNode, key: bytes, ttl: float = DEFAULT_TTL):
-        await self.local_advertise(node, key, ttl)
-
-    def local_query(self, node: SimNode, key: bytes, deadline: float) -> ProviderStream:
-        return self.find_providers(node, key, deadline)
 
     async def _query_once(self, node: SimNode, key: bytes) -> list[PeerAddress]:
         self._check_started()

@@ -22,10 +22,6 @@ class BackendUnavailable(PcpError):
     """A discovery backend was used after being stopped."""
 
 
-class CapabilityError(InvalidArgument):
-    """A backend was asked for an operation outside its capabilities."""
-
-
 class DialError(PcpError):
     """The target peer is unreachable or not accepting connections."""
 

@@ -383,9 +383,6 @@ class Event:
         self._flag = False
         self._waiters: deque[tuple[Task, int]] = deque()
 
-    def is_set(self) -> bool:
-        return self._flag
-
     def set(self) -> None:
         self._set_from(current_kernel() if self._waiters else None)
 

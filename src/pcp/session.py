@@ -25,24 +25,21 @@ from typing import Callable
 
 from . import kernel as ker
 from .auth import ROLE_INITIATOR, ROLE_RESPONDER, PakeSecret, SecureChannel, confirm_key, pake_handshake
-from .discovery import CAP_LOCAL, DiscoveryBackend, ProviderStream
-from .errors import BackendUnavailable, ConnectionLost, DecryptError, DialError, PcpError
+from .discovery import DiscoveryBackend, ProviderStream
+from .errors import BackendUnavailable, DialError, PcpError
 from .kernel import Queue, QueueEmpty, WaitTimeout
 from .passphrase import Passphrase, channel_id, generate_passphrase, parse_passphrase
 from .rendezvous import DiscoveryKey, discovery_key, previous_slot, truncate_to_slot
 from .simnet import Connection, PeerAddress, SimNode
 from .transfer import (
-    STATUS_ABORTED,
     STATUS_COMPLETED,
     STATUS_FAILED,
-    STATUS_REJECTED,
     DecideFn,
     ProgressFn,
     TransferOutcome,
     manifest_for_file,
     receive_file,
-    send_manifest,
-    stream_file,
+    send_file,
 )
 
 logger = logging.getLogger("pcp.session")
@@ -192,11 +189,52 @@ async def _pick_winner(state: _SessionState, winners: Queue, deadline_at: float)
     return winner
 
 
-async def _publish_on(backend: DiscoveryBackend, node: SimNode, key: DiscoveryKey) -> None:
-    if CAP_LOCAL in backend.capabilities:
-        await backend.local_advertise(node, key.content_key)
-    else:
-        await backend.provide(node, key.content_key)
+async def _authenticate(
+    state: _SessionState,
+    conn: Connection,
+    secret: PakeSecret,
+    role: str,
+    rng: random.Random,
+    config: SessionConfig,
+    winners: Queue,
+    allowed_bindings: set[str] | None = None,
+) -> None:
+    """Handshake and confirm one candidate; a confirmed channel joins ``winners``.
+
+    A failure drops only this connection. ``role`` goes to ``pake_handshake``
+    positionally: the benchmark's span tracer reads it as the third argument.
+    """
+    node = state.node
+    peer = conn.remote
+    try:
+        state.advance("authenticating", peer=peer.short())
+        keys, transcript, binding = await pake_handshake(
+            conn,
+            secret,
+            role,
+            rng,
+            allowed_bindings=allowed_bindings,
+            timeout=config.handshake_timeout,
+        )
+        chan = await confirm_key(conn, keys, transcript, timeout=config.handshake_timeout)
+    except PcpError as e:
+        state.auth_failures += 1
+        node.network.trace.emit(
+            "auth_fail",
+            role=state.role,
+            node=node.address.short(),
+            peer=peer.short(),
+            reason=type(e).__name__,
+        )
+        conn.abort()
+        return
+    except ker.Cancelled:
+        conn.abort()
+        raise
+    node.network.trace.emit(
+        "auth_ok", role=state.role, node=node.address.short(), peer=peer.short()
+    )
+    winners.put(_Candidate(peer.peer_id, chan, binding, node.kernel.now()))
 
 
 async def run_sender(
@@ -240,7 +278,7 @@ async def run_sender(
                 # all backends in parallel: a slow global publish must not
                 # hold back the local advertisement
                 writes = [
-                    state.track(kernel.spawn(_publish_on(backend, node, key), name="publish"))
+                    state.track(kernel.spawn(backend.provide(node, key.content_key), name="publish"))
                     for backend in config.backends
                 ]
                 for write in writes:
@@ -253,44 +291,12 @@ async def run_sender(
             boundary = key.slot.start + config.slot_width
             await ker.sleep(max(boundary - kernel.now(), 0.001))
 
-    async def candidate(conn: Connection) -> None:
-        chan: SecureChannel | None = None
-        try:
-            state.advance("authenticating", peer=conn.remote.short())
-            keys, transcript, binding = await pake_handshake(
-                conn,
-                PakeSecret(secret_bytes, ""),
-                ROLE_RESPONDER,
-                rng,
-                allowed_bindings=published,
-                timeout=config.handshake_timeout,
-            )
-            chan = await confirm_key(conn, keys, transcript, timeout=config.handshake_timeout)
-        except PcpError as e:
-            state.auth_failures += 1
-            node.network.trace.emit(
-                "auth_fail",
-                role=ROLE_SENDER,
-                node=node.address.short(),
-                peer=conn.remote.short(),
-                reason=type(e).__name__,
-            )
-            conn.abort()
-            return
-        except ker.Cancelled:
-            conn.abort()
-            raise
-        node.network.trace.emit(
-            "auth_ok", role=ROLE_SENDER, node=node.address.short(), peer=conn.remote.short()
-        )
-        winners.put(
-            _Candidate(conn.remote.peer_id, chan, binding, kernel.now())
-        )
-
     async def acceptor() -> None:
+        secret = PakeSecret(secret_bytes, "")
         while True:
             conn = await node.accept()
-            state.track(kernel.spawn(candidate(conn), name="sender-candidate"))
+            auth = _authenticate(state, conn, secret, ROLE_RESPONDER, rng, config, winners, published)
+            state.track(kernel.spawn(auth, name="sender-candidate"))
 
     state.track(kernel.spawn(publisher(), name="sender-publish"))
     state.track(kernel.spawn(acceptor(), name="sender-accept"))
@@ -309,18 +315,10 @@ async def run_sender(
             size=manifest.size,
             sha256=manifest.sha256_hex,
         )
-        try:
-            accepted = await send_manifest(winner.chan, manifest)
-        except (ConnectionLost, DecryptError) as e:
-            outcome = TransferOutcome(STATUS_ABORTED, 0, reason=str(e))
-        else:
-            if accepted:
-                state.advance("transferring")
-                with open(path, "rb") as source:
-                    outcome = await stream_file(winner.chan, source, manifest, progress)
-            else:
-                await winner.chan.close()
-                outcome = TransferOutcome(STATUS_REJECTED, 0, reason="receiver-declined")
+        outcome = await send_file(
+            winner.chan, path, manifest, progress,
+            on_accept=lambda: state.advance("transferring"),
+        )
         if outcome.status == STATUS_COMPLETED:
             state.advance("done")
         else:
@@ -397,35 +395,9 @@ async def run_receiver(
             conn = await node.dial(addr)
         except DialError:
             return  # simnet already traced the failed dial
-        chan: SecureChannel | None = None
-        try:
-            state.advance("authenticating", peer=addr.short())
-            keys, transcript, _ = await pake_handshake(
-                conn,
-                PakeSecret(secret_bytes, binding),
-                ROLE_INITIATOR,
-                rng,
-                timeout=config.handshake_timeout,
-            )
-            chan = await confirm_key(conn, keys, transcript, timeout=config.handshake_timeout)
-        except PcpError as e:
-            state.auth_failures += 1
-            node.network.trace.emit(
-                "auth_fail",
-                role=ROLE_RECEIVER,
-                node=node.address.short(),
-                peer=addr.short(),
-                reason=type(e).__name__,
-            )
-            conn.abort()
-            return
-        except ker.Cancelled:
-            conn.abort()
-            raise
-        node.network.trace.emit(
-            "auth_ok", role=ROLE_RECEIVER, node=node.address.short(), peer=addr.short()
+        await _authenticate(
+            state, conn, PakeSecret(secret_bytes, binding), ROLE_INITIATOR, rng, config, winners
         )
-        winners.put(_Candidate(addr.peer_id, chan, binding, kernel.now()))
 
     async def dialer() -> None:
         while True:

@@ -367,10 +367,6 @@ class Connection:
         other = next(e for pid, e in self.core.ends.items() if pid != self.local.peer_id)
         return other.local
 
-    @property
-    def is_open(self) -> bool:
-        return self.core.error is None
-
     async def send(self, data: bytes) -> None:
         self.core.send(self.local.peer_id, data)
 

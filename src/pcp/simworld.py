@@ -32,7 +32,7 @@ from .session import SessionConfig
 from .simnet import SimNode, SimulatedNetwork
 
 
-def _ms_pair(value: Any, fallback: tuple[float, float]) -> tuple[float, float]:
+def _ms_pair(value: Any, fallback: tuple[float, float] | None = None) -> tuple[float, float]:
     if value is None:
         return fallback
     if isinstance(value, (int, float)):
@@ -41,6 +41,16 @@ def _ms_pair(value: Any, fallback: tuple[float, float]) -> tuple[float, float]:
         lo, hi = float(value[0]) / 1000.0, float(value[1]) / 1000.0
         return (lo, hi)
     raise InvalidArgument(f"latency must be a number or [lo, hi] pair, got {value!r}")
+
+
+def _backend_timing(spec: dict) -> dict:
+    """The timing a backend spec sets; the backend's own defaults fill the rest."""
+    timing = {}
+    if spec.get("op_latency_ms") is not None:
+        timing["op_latency"] = _ms_pair(spec["op_latency_ms"])
+    if spec.get("query_interval_ms") is not None:
+        timing["query_interval"] = float(spec["query_interval_ms"]) / 1000.0
+    return timing
 
 
 @dataclass
@@ -98,21 +108,9 @@ class SimWorld:
             )
         self.backends: list[DiscoveryBackend] = []
         if config.dht is not None:
-            self.backends.append(
-                SimulatedDht(
-                    self.network,
-                    op_latency=_ms_pair(config.dht.get("op_latency_ms"), (0.2, 0.8)),
-                    query_interval=float(config.dht.get("query_interval_ms", 500)) / 1000.0,
-                )
-            )
+            self.backends.append(SimulatedDht(self.network, **_backend_timing(config.dht)))
         if config.mdns is not None:
-            self.backends.append(
-                SimulatedMdns(
-                    self.network,
-                    op_latency=_ms_pair(config.mdns.get("op_latency_ms"), (2, 8)),
-                    query_interval=float(config.mdns.get("query_interval_ms", 250)) / 1000.0,
-                )
-            )
+            self.backends.append(SimulatedMdns(self.network, **_backend_timing(config.mdns)))
         if not self.backends:
             raise InvalidArgument("sim config disables every discovery backend")
 

@@ -203,8 +203,9 @@ async def send_file(
     path: str,
     manifest: TransferManifest | None = None,
     progress: ProgressFn | None = None,
+    on_accept: Callable[[], None] | None = None,
 ) -> TransferOutcome:
-    """Manifest exchange plus body streaming for a file on disk."""
+    """Manifest exchange plus body streaming; ``on_accept`` runs before any body bytes."""
     if manifest is None:
         manifest = manifest_for_file(path)
     try:
@@ -214,6 +215,8 @@ async def send_file(
     if not accepted:
         await chan.close()
         return TransferOutcome(STATUS_REJECTED, 0, reason="receiver-declined")
+    if on_accept:
+        on_accept()
     with open(path, "rb") as f:
         return await stream_file(chan, f, manifest, progress)
 

@@ -266,6 +266,20 @@ class TestSimConfig:
         world = SimWorld(SimConfig())
         assert len(world.backends) == 2
 
+    def test_backend_timing_defaults_come_from_the_backends(self):
+        world = SimWorld(SimConfig())
+        timing = {type(b).__name__: (b.op_latency, b.query_interval) for b in world.backends}
+        assert timing == {
+            "SimulatedDht": ((0.2, 0.8), 0.5),
+            "SimulatedMdns": ((0.002, 0.008), 0.25),
+        }
+
+    def test_backend_spec_overrides_only_what_it_sets(self):
+        world = SimWorld(SimConfig.from_dict({"mdns": {"query_interval_ms": 100}}))
+        mdns = world.backends[1]
+        assert mdns.op_latency == (0.002, 0.008)
+        assert mdns.query_interval == 0.1
+
     def test_null_disables_backend(self):
         cfg = SimConfig.from_dict({"dht": None})
         world = SimWorld(cfg)

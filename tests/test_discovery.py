@@ -1,12 +1,11 @@
 import pytest
 
 from pcp.discovery import DEFAULT_TTL, SimulatedDht, SimulatedMdns
-from pcp.errors import BackendUnavailable, CapabilityError
+from pcp.errors import BackendUnavailable
 from pcp.kernel import Kernel, current_time, sleep, spawn
 from pcp.simnet import SimulatedNetwork
 
 K1 = bytes.fromhex("11" * 32)
-K2 = bytes.fromhex("22" * 32)
 
 
 def make(seed=0, **dht_kw):
@@ -19,6 +18,14 @@ def make(seed=0, **dht_kw):
     return k, net, dht, mdns
 
 
+async def collect(stream):
+    """Drain a provider stream to its deadline."""
+    out = []
+    while (addr := await stream.next()) is not None:
+        out.append(addr)
+    return out
+
+
 def test_default_ttl_is_24h():
     assert DEFAULT_TTL == 86_400
 
@@ -29,7 +36,7 @@ def test_provide_then_find_from_other_node():
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
         await dht.provide(a, K1)
-        found = await dht.find_providers(b, K1, deadline=2.0).collect()
+        found = await collect(dht.find_providers(b, K1, deadline=2.0))
         assert [f.peer_id for f in found] == [a.address.peer_id]
 
     k.run(main())
@@ -42,11 +49,11 @@ def test_record_expires_after_ttl():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
         await dht.provide(a, K1, ttl=1.0)
         await sleep(2.0)
-        assert await dht.find_providers(b, K1, deadline=0.5).collect() == []
+        assert await collect(dht.find_providers(b, K1, deadline=0.5)) == []
         # never reappears unless re-provided
-        assert await dht.find_providers(b, K1, deadline=0.5).collect() == []
+        assert await collect(dht.find_providers(b, K1, deadline=0.5)) == []
         await dht.provide(a, K1, ttl=1.0)
-        found = await dht.find_providers(b, K1, deadline=0.5).collect()
+        found = await collect(dht.find_providers(b, K1, deadline=0.5))
         assert len(found) == 1
 
     k.run(main())
@@ -61,7 +68,7 @@ def test_reprovide_refreshes_publish_time():
         await sleep(1.5)
         await dht.provide(a, K1, ttl=2.0)  # refresh
         await sleep(1.0)  # 2.5s after first publish, 1s after refresh
-        found = await dht.find_providers(b, K1, deadline=0.5).collect()
+        found = await collect(dht.find_providers(b, K1, deadline=0.5))
         assert len(found) == 1
 
     k.run(main())
@@ -76,7 +83,7 @@ def test_multiple_providers_reported():
         c = net.spawn_node(["lan1"])
         await dht.provide(a, K1)
         await dht.provide(c, K1)
-        found = await dht.find_providers(b, K1, deadline=2.0).collect()
+        found = await collect(dht.find_providers(b, K1, deadline=2.0))
         assert sorted(f.peer_id for f in found) == sorted(
             [a.address.peer_id, c.address.peer_id]
         )
@@ -97,7 +104,7 @@ def test_no_duplicate_yield_in_one_stream():
                 await dht.provide(a, K1)
 
         spawn(republish())
-        found = await dht.find_providers(b, K1, deadline=1.5).collect()
+        found = await collect(dht.find_providers(b, K1, deadline=1.5))
         assert len(found) == 1
 
     k.run(main())
@@ -109,7 +116,7 @@ def test_no_providers_empty_not_error():
     async def main():
         b = net.spawn_node(["lan0"])
         t0 = current_time()
-        found = await dht.find_providers(b, K1, deadline=0.1).collect()
+        found = await collect(dht.find_providers(b, K1, deadline=0.1))
         assert found == []
         assert current_time() - t0 >= 0.1 - 1e-6
 
@@ -137,13 +144,16 @@ def test_provider_published_after_query_start_is_found():
     k.run(main())
 
 
-def test_querier_never_sees_itself():
-    k, net, dht, _ = make()
+@pytest.mark.parametrize("which", ["dht", "mdns"])
+def test_querier_never_sees_itself(which):
+    k, net, dht, mdns = make()
+    backend = {"dht": dht, "mdns": mdns}[which]
 
     async def main():
         a = net.spawn_node(["lan0"])
-        await dht.provide(a, K1)
-        assert await dht.find_providers(a, K1, deadline=0.5).collect() == []
+        await backend.provide(a, K1)
+        # own records are filtered; visible to peers only
+        assert await collect(backend.find_providers(a, K1, deadline=0.5)) == []
 
     k.run(main())
 
@@ -155,9 +165,9 @@ def test_local_advertise_scope_isolation():
         a = net.spawn_node(["lan0"])
         b = net.spawn_node(["lan0"])
         c = net.spawn_node(["lan1"])
-        await mdns.local_advertise(a, K1)
-        same = await mdns.local_query(b, K1, deadline=0.5).collect()
-        other = await mdns.local_query(c, K1, deadline=0.5).collect()
+        await mdns.provide(a, K1)
+        same = await collect(mdns.find_providers(b, K1, deadline=0.5))
+        other = await collect(mdns.find_providers(c, K1, deadline=0.5))
         assert [f.peer_id for f in same] == [a.address.peer_id]
         assert other == []
 
@@ -171,29 +181,12 @@ def test_two_local_advertisers_both_reported():
         a = net.spawn_node(["lan0"])
         b = net.spawn_node(["lan0"])
         c = net.spawn_node(["lan0"])
-        await mdns.local_advertise(a, K1)
-        await mdns.local_advertise(c, K1)
-        found = await mdns.local_query(b, K1, deadline=0.5).collect()
+        await mdns.provide(a, K1)
+        await mdns.provide(c, K1)
+        found = await collect(mdns.find_providers(b, K1, deadline=0.5))
         assert sorted(f.peer_id for f in found) == sorted(
             [a.address.peer_id, c.address.peer_id]
         )
-
-    k.run(main())
-
-
-def test_capability_mismatch_is_invalid_argument():
-    k, net, dht, mdns = make()
-
-    async def main():
-        a = net.spawn_node(["lan0"])
-        with pytest.raises(CapabilityError):
-            await dht.local_advertise(a, K1)
-        with pytest.raises(CapabilityError):
-            dht.local_query(a, K1, deadline=0.1)
-        # the generic spellings work on the local backend
-        await mdns.provide(a, K2)
-        found = await mdns.find_providers(a, K2, deadline=0.2).collect()
-        assert found == []  # own ads are filtered; visible to peers only
 
     k.run(main())
 
@@ -222,10 +215,10 @@ def test_stopped_provider_not_reported():
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
         await dht.provide(a, K1)
-        await mdns.local_advertise(a, K1)
+        await mdns.provide(a, K1)
         a.stop()
-        assert await dht.find_providers(b, K1, deadline=0.5).collect() == []
-        assert await mdns.local_query(b, K1, deadline=0.5).collect() == []
+        assert await collect(dht.find_providers(b, K1, deadline=0.5)) == []
+        assert await collect(mdns.find_providers(b, K1, deadline=0.5)) == []
 
     k.run(main())
 
@@ -236,13 +229,13 @@ def test_wan_partition_blinds_global_backend_only():
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
         await dht.provide(a, K1)
-        await mdns.local_advertise(a, K1)
+        await mdns.provide(a, K1)
         net.partition("wan")
-        assert await dht.find_providers(b, K1, deadline=0.5).collect() == []
-        found = await mdns.local_query(b, K1, deadline=0.5).collect()
+        assert await collect(dht.find_providers(b, K1, deadline=0.5)) == []
+        found = await collect(mdns.find_providers(b, K1, deadline=0.5))
         assert [f.peer_id for f in found] == [a.address.peer_id]
         net.partition("wan", severed=False)
-        found = await dht.find_providers(b, K1, deadline=0.5).collect()
+        found = await collect(dht.find_providers(b, K1, deadline=0.5))
         assert [f.peer_id for f in found] == [a.address.peer_id]
 
     k.run(main())
@@ -256,8 +249,8 @@ def test_lossy_link_delays_but_does_not_prevent_discovery():
 
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
-        await mdns.local_advertise(a, K1)
-        found = await mdns.local_query(b, K1, deadline=10.0).collect()
+        await mdns.provide(a, K1)
+        found = await collect(mdns.find_providers(b, K1, deadline=10.0))
         assert [f.peer_id for f in found] == [a.address.peer_id]
 
     k.run(main())
@@ -269,7 +262,7 @@ def test_local_backend_faster_than_global():
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
         await dht.provide(a, K1)
-        await mdns.local_advertise(a, K1)
+        await mdns.provide(a, K1)
         t0 = current_time()
         results = []
 

@@ -41,6 +41,11 @@ class TestHappyPath:
             assert seen[-1] == "done"
             assert seen[0] == "discovering"
 
+    def test_sender_phases_on_accept(self, payload_file, tmp_path):
+        world = build_world(seed=2)
+        run_pair(world, payload_file(1000), str(tmp_path / "inbox"))
+        assert _phases(world, "sender") == list(PHASE_ORDER)
+
     def test_completion_within_config_derived_bound(self, payload_file, tmp_path):
         world = build_world(seed=3)
         t0 = world.kernel.now()
@@ -198,6 +203,16 @@ class TestAuthScenarios:
         assert s_out.status == "rejected"
         assert r_out.status == "rejected"
         assert not os.path.exists(tmp_path / "inbox" / "payload.bin")
+
+    def test_sender_phases_on_reject(self, payload_file, tmp_path):
+        world = build_world(seed=12)
+        run_pair(world, payload_file(1000), str(tmp_path / "inbox"), decide=reject_all)
+        phases = [e for e in world.kernel.trace.events
+                  if e["event"] == "phase" and e["role"] == "sender"]
+        assert [e["phase"] for e in phases] == [
+            "discovering", "authenticating", "awaiting-confirmation", "failed"
+        ]
+        assert phases[-1]["detail"] == "rejected"
 
 
 class TestCollisionScenarios:
