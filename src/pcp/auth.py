@@ -16,7 +16,7 @@ import hmac
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, Coroutine
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -27,9 +27,10 @@ from .errors import (
     ChannelExhausted,
     DecryptError,
     HandshakeTimeout,
+    PcpError,
     ProtocolError,
 )
-from .kernel import WaitTimeout, wait_for
+from .kernel import Cancelled, WaitTimeout, wait_for
 from .pake import ELEMENT_LEN, ROLE_INITIATOR, ROLE_RESPONDER, PakeParty
 from .simnet import Connection
 
@@ -91,9 +92,23 @@ def _decode_msg1(payload: bytes) -> tuple[str, bytes]:
     return binding, payload[2 + blen :]
 
 
+async def _guarded(conn: Connection, step: Coroutine, timeout: float | None, what: str):
+    """Run one handshake step under its deadline; any failure aborts ``conn``."""
+    try:
+        if timeout is None:
+            return await step
+        return await wait_for(step, timeout)
+    except WaitTimeout:
+        conn.abort()
+        raise HandshakeTimeout(f"{what} timed out") from None
+    except (PcpError, Cancelled):
+        conn.abort()
+        raise
+
+
 async def _initiate(
     conn: Connection, secret: PakeSecret, rng: random.Random
-) -> tuple[SessionKeys, bytes]:
+) -> tuple[SessionKeys, bytes, str]:
     party = PakeParty(secret.passphrase_bytes, ROLE_INITIATOR, secret.session_binding, rng)
     msg1 = framing.pack_frame(
         framing.TYPE_PAKE_MSG_1, _encode_msg1(secret.session_binding, party.message())
@@ -103,7 +118,7 @@ async def _initiate(
     if len(payload) != ELEMENT_LEN:
         raise ProtocolError("malformed key-exchange reply")
     master = party.derive(payload)
-    return derive_session_keys(master, ROLE_INITIATOR), msg1 + msg2_raw
+    return derive_session_keys(master, ROLE_INITIATOR), msg1 + msg2_raw, secret.session_binding
 
 
 async def _respond(
@@ -140,29 +155,27 @@ async def pake_handshake(
     passphrase is NOT detected here — both sides still derive keys, they
     just differ; confirm_key() is where a mismatch surfaces.
 
-    On malformed input the connection is aborted and ProtocolError raised;
-    on deadline expiry the connection is aborted and HandshakeTimeout raised.
+    Any failure aborts the connection: malformed input raises ProtocolError
+    and deadline expiry raises HandshakeTimeout.
     """
+    if role == ROLE_INITIATOR:
+        step = _initiate(conn, secret, rng)
+    else:
+        step = _respond(conn, secret.passphrase_bytes, rng, allowed_bindings)
+    return await _guarded(conn, step, timeout, "key exchange")
 
-    async def _run():
-        if role == ROLE_INITIATOR:
-            keys, transcript = await _initiate(conn, secret, rng)
-            return keys, transcript, secret.session_binding
-        keys, transcript, binding = await _respond(
-            conn, secret.passphrase_bytes, rng, allowed_bindings
-        )
-        return keys, transcript, binding
 
-    try:
-        if timeout is None:
-            return await _run()
-        return await wait_for(_run(), timeout)
-    except WaitTimeout:
-        conn.abort()
-        raise HandshakeTimeout("key exchange timed out") from None
-    except ProtocolError:
-        conn.abort()
-        raise
+async def _confirm(conn: Connection, keys: SessionKeys, transcript: bytes) -> "SecureChannel":
+    own = hmac.new(keys.k_confirm, CONFIRM_LABEL[keys.role] + transcript, hashlib.sha256)
+    await conn.send(framing.pack_frame(framing.TYPE_CONFIRM_TAG, own.digest()))
+    peer_tag, _ = await framing.expect_frame(conn, framing.TYPE_CONFIRM_TAG)
+    other_role = ROLE_RESPONDER if keys.role == ROLE_INITIATOR else ROLE_INITIATOR
+    expected = hmac.new(
+        keys.k_confirm, CONFIRM_LABEL[other_role] + transcript, hashlib.sha256
+    ).digest()
+    if not hmac.compare_digest(peer_tag, expected):
+        raise AuthenticationFailure("key confirmation failed; dropping connection")
+    return SecureChannel(conn, keys)
 
 
 async def confirm_key(
@@ -182,29 +195,7 @@ async def confirm_key(
     only by its receiver; the other side learns of it when the aborted
     connection refuses to carry data.
     """
-
-    async def _run():
-        own = hmac.new(keys.k_confirm, CONFIRM_LABEL[keys.role] + transcript, hashlib.sha256)
-        await conn.send(framing.pack_frame(framing.TYPE_CONFIRM_TAG, own.digest()))
-        peer_tag, _ = await framing.expect_frame(conn, framing.TYPE_CONFIRM_TAG)
-        other_role = ROLE_RESPONDER if keys.role == ROLE_INITIATOR else ROLE_INITIATOR
-        expected = hmac.new(
-            keys.k_confirm, CONFIRM_LABEL[other_role] + transcript, hashlib.sha256
-        ).digest()
-        if not hmac.compare_digest(peer_tag, expected):
-            raise AuthenticationFailure("key confirmation failed; dropping connection")
-        return SecureChannel(conn, keys)
-
-    try:
-        if timeout is None:
-            return await _run()
-        return await wait_for(_run(), timeout)
-    except WaitTimeout:
-        conn.abort()
-        raise HandshakeTimeout("key confirmation timed out") from None
-    except (AuthenticationFailure, ProtocolError):
-        conn.abort()
-        raise
+    return await _guarded(conn, _confirm(conn, keys, transcript), timeout, "key confirmation")
 
 
 class SecureChannel:

@@ -28,8 +28,8 @@ from .auth import ROLE_INITIATOR, ROLE_RESPONDER, PakeSecret, SecureChannel, con
 from .discovery import DiscoveryBackend, ProviderStream
 from .errors import BackendUnavailable, DialError, PcpError
 from .kernel import Queue, QueueEmpty, WaitTimeout
-from .passphrase import Passphrase, channel_id, generate_passphrase, parse_passphrase
-from .rendezvous import DiscoveryKey, discovery_key, previous_slot, truncate_to_slot
+from .passphrase import MIN_WORDS, Passphrase, channel_id, generate_passphrase, parse_passphrase
+from .rendezvous import SLOT_WIDTH, DiscoveryKey, discovery_key, previous_slot, truncate_to_slot
 from .simnet import Connection, PeerAddress, SimNode
 from .transfer import (
     STATUS_COMPLETED,
@@ -61,7 +61,6 @@ PHASE_FAILED = "failed"
 class SessionConfig:
     backends: tuple[DiscoveryBackend, ...]
     word_count: int = 4
-    slot_width: int = 300
     discovery_deadline: float = 120.0
     handshake_timeout: float = 30.0
     decision_timeout: float = 60.0
@@ -71,14 +70,16 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if not self.backends:
             raise ValueError("at least one discovery backend is required")
+        if self.word_count < MIN_WORDS:
+            raise ValueError(f"word_count must be >= {MIN_WORDS}, got {self.word_count}")
 
 
-def sender_publish_key(channel: int, now: float, width: int) -> DiscoveryKey:
+def sender_publish_key(channel: int, now: float, width: int = SLOT_WIDTH) -> DiscoveryKey:
     """The single key a sender publishes under at time ``now``."""
     return discovery_key(channel, truncate_to_slot(now, width))
 
 
-def receiver_query_keys(channel: int, now: float, width: int) -> list[DiscoveryKey]:
+def receiver_query_keys(channel: int, now: float, width: int = SLOT_WIDTH) -> list[DiscoveryKey]:
     """Current slot plus, when it exists, the previous slot."""
     slot = truncate_to_slot(now, width)
     keys = [discovery_key(channel, slot)]
@@ -122,6 +123,21 @@ class _SessionState:
             "phase", role=self.role, node=self.node.address.short(), phase=phase, **detail
         )
 
+    def finish(self, outcome: TransferOutcome) -> TransferOutcome:
+        """Record how the transfer stage ended: the last phase, then ``transfer_done``."""
+        if outcome.status == STATUS_COMPLETED:
+            self.advance("done")
+        else:
+            self.advance(PHASE_FAILED, detail=outcome.status)
+        self.node.network.trace.emit(
+            "transfer_done",
+            role=self.role,
+            node=self.node.address.short(),
+            status=outcome.status,
+            bytes=outcome.bytes_received,
+        )
+        return outcome
+
     def track(self, task: ker.Task) -> ker.Task:
         self._tasks.append(task)
         return self._tasks[-1]
@@ -132,16 +148,14 @@ class _SessionState:
 
     def cancel_losers(self, winners: Queue) -> None:
         """Tear down everything except the winning channel, promptly."""
-        drained_any = False
         while True:
             try:
                 late: _Candidate = winners.get_nowait()
             except QueueEmpty:
                 break
-            drained_any = True
             if self.winner is None or late.chan is not self.winner.chan:
                 late.chan.abort()
-        if self._cancelled and not drained_any:
+        if self._cancelled:
             return
         self._cancelled = True
         for stream in self._streams:
@@ -201,7 +215,8 @@ async def _authenticate(
 ) -> None:
     """Handshake and confirm one candidate; a confirmed channel joins ``winners``.
 
-    A failure drops only this connection. ``role`` goes to ``pake_handshake``
+    A failure drops only this connection: the auth layer aborts it on every
+    failure and on cancellation. ``role`` goes to ``pake_handshake``
     positionally: the benchmark's span tracer reads it as the third argument.
     """
     node = state.node
@@ -226,11 +241,7 @@ async def _authenticate(
             peer=peer.short(),
             reason=type(e).__name__,
         )
-        conn.abort()
         return
-    except ker.Cancelled:
-        conn.abort()
-        raise
     node.network.trace.emit(
         "auth_ok", role=state.role, node=node.address.short(), peer=peer.short()
     )
@@ -272,7 +283,7 @@ async def run_sender(
 
     async def publisher() -> None:
         while True:
-            key = sender_publish_key(channel, kernel.now(), config.slot_width)
+            key = sender_publish_key(channel, kernel.now())
             if key.id_string not in published:
                 published.add(key.id_string)
                 # all backends in parallel: a slow global publish must not
@@ -288,7 +299,7 @@ async def run_sender(
                         logger.warning("publish failed on one backend: %s", e)
             if not config.republish_on_rollover:
                 return
-            boundary = key.slot.start + config.slot_width
+            boundary = key.slot.start + SLOT_WIDTH
             await ker.sleep(max(boundary - kernel.now(), 0.001))
 
     async def acceptor() -> None:
@@ -319,18 +330,7 @@ async def run_sender(
             winner.chan, path, manifest, progress,
             on_accept=lambda: state.advance("transferring"),
         )
-        if outcome.status == STATUS_COMPLETED:
-            state.advance("done")
-        else:
-            state.advance(PHASE_FAILED, detail=outcome.status)
-        node.network.trace.emit(
-            "transfer_done",
-            role=ROLE_SENDER,
-            node=node.address.short(),
-            status=outcome.status,
-            bytes=outcome.bytes_received,
-        )
-        return outcome
+        return state.finish(outcome)
     finally:
         state.cancel_losers(winners)
 
@@ -374,7 +374,7 @@ async def run_receiver(
             remaining = deadline_at - kernel.now()
             if remaining <= 0:
                 return
-            for key in receiver_query_keys(channel, kernel.now(), config.slot_width):
+            for key in receiver_query_keys(channel, kernel.now()):
                 if key.id_string in started:
                     continue
                 started.add(key.id_string)
@@ -386,8 +386,8 @@ async def run_receiver(
                     except BackendUnavailable:
                         continue
                     state.track(kernel.spawn(pump(stream, key.id_string), name="pump"))
-            slot = truncate_to_slot(kernel.now(), config.slot_width)
-            boundary = slot.start + config.slot_width
+            slot = truncate_to_slot(kernel.now())
+            boundary = slot.start + SLOT_WIDTH
             await ker.sleep(max(boundary - kernel.now(), 0.001))
 
     async def candidate(addr: PeerAddress, binding: str) -> None:
@@ -433,17 +433,6 @@ async def run_receiver(
             decision_timeout=config.decision_timeout,
             progress=progress,
         )
-        if outcome.status == STATUS_COMPLETED:
-            state.advance("done")
-        else:
-            state.advance(PHASE_FAILED, detail=outcome.status)
-        node.network.trace.emit(
-            "transfer_done",
-            role=ROLE_RECEIVER,
-            node=node.address.short(),
-            status=outcome.status,
-            bytes=outcome.bytes_received,
-        )
-        return outcome
+        return state.finish(outcome)
     finally:
         state.cancel_losers(winners)

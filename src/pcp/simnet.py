@@ -222,13 +222,13 @@ class SimNode:
         if not links:
             self._dial_failed(to, "unreachable")
         link = links[0]
-        core = _ConnectionCore(self.network, link, self, target, relay)
+        core = _ConnectionCore(self.network, link, relay)
         await ker.sleep(core.draw_delay())  # connect request travels
         if target.stopped or not link.up:
             self._dial_failed(to, "peer-down")
-        local_end = Connection(core, self)
-        remote_end = Connection(core, target)
-        core.attach(local_end, remote_end)
+        local_end, remote_end = Connection(core, self), Connection(core, target)
+        local_end.peer, remote_end.peer = remote_end, local_end
+        core.ends = (local_end, remote_end)
         target._inbound.put(remote_end)
         self.network.trace.emit(
             "conn_open",
@@ -253,13 +253,12 @@ class SimNode:
 class _Stream:
     """One direction of a connection as seen by its reader."""
 
-    __slots__ = ("buffer", "eof", "floor", "pending", "activity")
+    __slots__ = ("buffer", "eof", "floor", "activity")
 
     def __init__(self) -> None:
         self.buffer = bytearray()
         self.eof = False
         self.floor = 0.0  # in-order delivery horizon
-        self.pending: set = set()
         self.activity = ker.Event()
 
     def wake(self) -> None:
@@ -270,14 +269,7 @@ class _Stream:
 class _ConnectionCore:
     """State shared by both endpoints of one connection."""
 
-    def __init__(
-        self,
-        network: SimulatedNetwork,
-        link: VirtualLink,
-        node_a: SimNode,
-        node_b: SimNode,
-        relay: bool,
-    ):
+    def __init__(self, network: SimulatedNetwork, link: VirtualLink, relay: bool):
         network._conn_seq += 1
         self.network = network
         self.kernel = network.kernel
@@ -285,18 +277,7 @@ class _ConnectionCore:
         self.relay = relay
         self.conn_id = f"c{network._conn_seq}"
         self.error: str | None = None
-        # keyed by the *receiving* peer id
-        self.streams = {
-            node_a.address.peer_id: _Stream(),
-            node_b.address.peer_id: _Stream(),
-        }
-        self.send_closed: set[str] = set()
-        self.ends: dict[str, Connection] = {}
-
-    def attach(self, a: "Connection", b: "Connection") -> None:
-        self.ends = {a.local.peer_id: a, b.local.peer_id: b}
-        a.node._conns[a] = None
-        b.node._conns[b] = None
+        self.ends: tuple[Connection, ...] = ()  # (dialer's end, acceptor's end)
 
     def draw_delay(self) -> float:
         d = self.link.latency.draw(self.network._rng_latency)
@@ -304,52 +285,29 @@ class _ConnectionCore:
             d += self.link.latency.draw(self.network._rng_latency)
         return d
 
-    def send(self, from_id: str, data: bytes) -> None:
-        if self.error is not None:
-            raise ConnectionLost(f"connection {self.conn_id} is down: {self.error}")
-        if from_id in self.send_closed:
-            raise ConnectionLost("send on closed connection")
-        to_id = next(p for p in self.streams if p != from_id)
-        stream = self.streams[to_id]
-        self._schedule(stream, payload=bytes(data))
+    def deliver(self, inbox: _Stream, payload: bytes | None) -> None:
+        """Queue ``payload`` (None is EOF) for ``inbox``; a drop before arrival discards it."""
+        deliver_at = max(self.kernel.now() + self.draw_delay(), inbox.floor)
+        inbox.floor = deliver_at
 
-    def send_eof(self, from_id: str) -> None:
-        if self.error is not None or from_id in self.send_closed:
-            return
-        self.send_closed.add(from_id)
-        to_id = next(p for p in self.streams if p != from_id)
-        self._schedule(self.streams[to_id], payload=None)  # None marks EOF
-
-    def _schedule(self, stream: _Stream, payload: bytes | None) -> None:
-        deliver_at = max(self.kernel.now() + self.draw_delay(), stream.floor)
-        stream.floor = deliver_at
-        entry_box: list = []
-
-        def deliver():
-            stream.pending.discard(entry_box[0])
+        def arrive():
             if self.error is not None:
                 return
             if payload is None:
-                stream.eof = True
+                inbox.eof = True
             else:
-                stream.buffer.extend(payload)
-            stream.wake()
+                inbox.buffer.extend(payload)
+            inbox.wake()
 
-        entry = self.kernel.call_at(deliver_at, deliver)
-        entry_box.append(entry)
-        stream.pending.add(entry)
+        self.kernel.call_at(deliver_at, arrive)
 
     def drop(self, reason: str) -> None:
         """Hard failure: kill in-flight data, error both directions."""
         if self.error is not None:
             return
         self.error = reason
-        for stream in self.streams.values():
-            for entry in stream.pending:
-                entry.cancel()
-            stream.pending.clear()
-            stream.wake()
-        for end in self.ends.values():
+        for end in self.ends:
+            end.inbox.wake()
             end.node._conns.pop(end, None)
         self.network.trace.emit("conn_drop", conn=self.conn_id, reason=reason)
 
@@ -361,18 +319,26 @@ class Connection:
         self.core = core
         self.node = node
         self.local = node.address
+        self.inbox = _Stream()
+        self.peer: Connection | None = None  # the other end, linked by dial()
+        self.send_closed = False
+        node._conns[self] = None
 
     @property
     def remote(self) -> PeerAddress:
-        other = next(e for pid, e in self.core.ends.items() if pid != self.local.peer_id)
-        return other.local
+        return self.peer.local
 
     async def send(self, data: bytes) -> None:
-        self.core.send(self.local.peer_id, data)
+        core = self.core
+        if core.error is not None:
+            raise ConnectionLost(f"connection {core.conn_id} is down: {core.error}")
+        if self.send_closed:
+            raise ConnectionLost("send on closed connection")
+        core.deliver(self.peer.inbox, bytes(data))
 
     async def recv(self, max_bytes: int = 65536) -> bytes:
         """Next chunk of bytes; b'' on clean EOF; ConnectionLost on drop."""
-        stream = self.core.streams[self.local.peer_id]
+        stream = self.inbox
         while True:
             if stream.buffer:
                 n = min(max_bytes, len(stream.buffer))
@@ -397,10 +363,13 @@ class Connection:
 
     async def close(self) -> None:
         """Graceful shutdown of our sending direction (peer sees EOF)."""
-        self.core.send_eof(self.local.peer_id)
+        core = self.core
+        if core.error is None and not self.send_closed:
+            self.send_closed = True
+            core.deliver(self.peer.inbox, None)
         self.node._conns.pop(self, None)
-        if not self.core.error and len(self.core.send_closed) == 2:
-            self.core.network.trace.emit("conn_closed", conn=self.core.conn_id)
+        if core.error is None and self.peer.send_closed:
+            core.network.trace.emit("conn_closed", conn=core.conn_id)
 
     def abort(self) -> None:
         """Hard drop; both ends observe a terminal stream error."""

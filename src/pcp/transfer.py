@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Awaitable, BinaryIO, Callable
 
 from .auth import SecureChannel
-from .errors import ConnectionLost, DecryptError, InvalidArgument, ProtocolError
+from .errors import InvalidArgument, PcpError, ProtocolError
 from .kernel import WaitTimeout, wait_for
 
 logger = logging.getLogger("pcp.transfer")
@@ -185,14 +185,13 @@ async def stream_file(
             if progress:
                 progress(sent, manifest.size)
         if sent != manifest.size:
-            chan.abort()
-            return TransferOutcome(STATUS_ABORTED, sent, reason="source-size-changed")
+            raise ProtocolError("source-size-changed")
         await chan.send(_app_frame(SUB_END))
         eof = await chan.conn.recv()
         if eof != b"":
-            chan.abort()
-            return TransferOutcome(STATUS_ABORTED, sent, reason="unexpected-trailing-data")
-    except (ConnectionLost, DecryptError) as e:
+            raise ProtocolError("unexpected-trailing-data")
+    except (PcpError, OSError) as e:
+        chan.abort()
         return TransferOutcome(STATUS_ABORTED, sent, reason=str(e))
     await chan.close()
     return TransferOutcome(STATUS_COMPLETED, sent, digest_verified=True)
@@ -206,19 +205,19 @@ async def send_file(
     on_accept: Callable[[], None] | None = None,
 ) -> TransferOutcome:
     """Manifest exchange plus body streaming; ``on_accept`` runs before any body bytes."""
-    if manifest is None:
-        manifest = manifest_for_file(path)
     try:
-        accepted = await send_manifest(chan, manifest)
-    except (ConnectionLost, DecryptError) as e:
+        if manifest is None:
+            manifest = manifest_for_file(path)
+        if not await send_manifest(chan, manifest):
+            await chan.close()
+            return TransferOutcome(STATUS_REJECTED, 0, reason="receiver-declined")
+        if on_accept:
+            on_accept()
+        with open(path, "rb") as f:
+            return await stream_file(chan, f, manifest, progress)
+    except (PcpError, OSError) as e:
+        chan.abort()
         return TransferOutcome(STATUS_ABORTED, 0, reason=str(e))
-    if not accepted:
-        await chan.close()
-        return TransferOutcome(STATUS_REJECTED, 0, reason="receiver-declined")
-    if on_accept:
-        on_accept()
-    with open(path, "rb") as f:
-        return await stream_file(chan, f, manifest, progress)
 
 
 # -- receiver side ------------------------------------------------------------
@@ -257,56 +256,43 @@ async def receive_file(
     decision_timeout: float = 60.0,
     progress: ProgressFn | None = None,
 ) -> TransferOutcome:
-    """Run the receiving half: manifest, decision, body, verify, rename."""
-    try:
-        plaintext = await chan.recv()
-    except (ConnectionLost, DecryptError) as e:
-        return TransferOutcome(STATUS_ABORTED, 0, reason=str(e))
-    subtype, payload = _split_app_frame(plaintext)
-    if subtype != SUB_MANIFEST:
-        chan.abort()
-        return TransferOutcome(STATUS_ABORTED, 0, reason="expected manifest first")
-    manifest = TransferManifest.decode(payload)
+    """Run the receiving half: manifest, decision, body, verify, rename.
 
-    accepted = await await_confirmation(manifest, decide, decision_timeout)
+    Any protocol violation, lost connection or local I/O error aborts the
+    channel and ends in an aborted outcome; no partial file is left behind.
+    """
+    received = 0
+    tmp_name = None
     try:
-        if not accepted:
+        subtype, payload = _split_app_frame(await chan.recv())
+        if subtype != SUB_MANIFEST:
+            raise ProtocolError("expected manifest first")
+        manifest = TransferManifest.decode(payload)
+
+        if not await await_confirmation(manifest, decide, decision_timeout):
             await chan.send(_app_frame(SUB_REJECT))
             await chan.close()
             return TransferOutcome(STATUS_REJECTED, 0, reason="declined")
         await chan.send(_app_frame(SUB_ACCEPT))
-    except (ConnectionLost, DecryptError) as e:
-        return TransferOutcome(STATUS_ABORTED, 0, reason=str(e))
 
-    os.makedirs(dest_dir, exist_ok=True)
-    tmp = tempfile.NamedTemporaryFile(
-        mode="wb", dir=dest_dir, prefix=".partial-", suffix=".pcp", delete=False
-    )
-    received = 0
-    digest = hashlib.sha256()
-    try:
-        with tmp:
+        os.makedirs(dest_dir, exist_ok=True)
+        digest = hashlib.sha256()
+        with tempfile.NamedTemporaryFile(
+            mode="wb", dir=dest_dir, prefix=".partial-", suffix=".pcp", delete=False
+        ) as tmp:
+            tmp_name = tmp.name
             while True:
-                try:
-                    frame = await chan.recv()
-                except (ConnectionLost, DecryptError) as e:
-                    return TransferOutcome(STATUS_ABORTED, received, reason=str(e))
-                subtype, payload = _split_app_frame(frame)
+                subtype, payload = _split_app_frame(await chan.recv())
                 if subtype == SUB_END:
                     break
                 if subtype != SUB_CHUNK:
-                    chan.abort()
-                    return TransferOutcome(
-                        STATUS_ABORTED, received, reason=f"unexpected sub-type 0x{subtype:02x}"
-                    )
+                    raise ProtocolError(f"unexpected sub-type 0x{subtype:02x}")
                 if len(payload) < 8:
-                    chan.abort()
-                    return TransferOutcome(STATUS_ABORTED, received, reason="short chunk header")
+                    raise ProtocolError("short chunk header")
                 offset = int.from_bytes(payload[:8], "big")
                 data = payload[8:]
                 if offset != received or received + len(data) > manifest.size:
-                    chan.abort()
-                    return TransferOutcome(STATUS_ABORTED, received, reason="chunk out of order")
+                    raise ProtocolError("chunk out of order")
                 tmp.write(data)
                 digest.update(data)
                 received += len(data)
@@ -314,16 +300,19 @@ async def receive_file(
                     progress(received, manifest.size)
 
         if received != manifest.size or digest.hexdigest() != manifest.sha256_hex:
-            chan.abort()
-            return TransferOutcome(STATUS_ABORTED, received, reason="content digest mismatch")
+            raise ProtocolError("content digest mismatch")
 
         final_path = _reserve_destination(dest_dir, manifest.name)
-        os.rename(tmp.name, final_path)
+        os.rename(tmp_name, final_path)
+    except (PcpError, OSError) as e:
+        chan.abort()
+        return TransferOutcome(STATUS_ABORTED, received, reason=str(e))
     finally:
-        try:
-            os.unlink(tmp.name)
-        except FileNotFoundError:
-            pass  # renamed into place on success
+        if tmp_name is not None:
+            try:
+                os.unlink(tmp_name)
+            except FileNotFoundError:
+                pass  # renamed into place on success
 
     await chan.close()
     return TransferOutcome(

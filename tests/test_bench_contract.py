@@ -84,3 +84,8 @@ def test_traced_session_records_every_layer(bench, tmp_path):
     # the receiver dials exactly one candidate: the tracer reads the
     # handshake role from its third positional argument
     assert tracer.stats.counts["session.candidates"] == 1
+    # the in-flight count adds what Connection.send's data argument carries
+    # and subtracts what Connection.recv returns, so it only balances when
+    # every read goes through recv
+    assert tracer.stats.counts["simnet.bytes_sent"] > 0
+    assert tracer.stats.inflight == 0

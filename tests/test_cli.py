@@ -101,6 +101,15 @@ class TestSendAlone:
         )[len(CODE_PREFIX):]
         assert len(code.split("-")) == 6
 
+    def test_word_count_below_minimum_is_usage_error(self, sim_config_path, tmp_path):
+        src = tmp_path / "a.bin"
+        src.write_bytes(b"hello")
+        out = io.StringIO()
+        rc = main(["send", "--sim-config", sim_config_path, "-w", "1", str(src)], out=out)
+        assert rc == 2
+        assert "word_count must be >= 2" in out.getvalue()
+        assert CODE_PREFIX not in out.getvalue()
+
 
 class TestExitCodes:
     def test_outcome_to_exit_code_table(self):
@@ -187,6 +196,41 @@ class TestRoundTrip:
         assert send_rc == 0 and recv_rc == 0
         assert (inbox / "roundtrip.bin").read_bytes() == payload
         assert "digest verified" in recv_out.getvalue()
+
+    def test_dir_naming_a_regular_file_aborts_both_sides(self, sim_config_path, tmp_path):
+        world = SimWorld.load(sim_config_path)
+        parser = build_parser()
+        src = tmp_path / "payload.bin"
+        src.write_bytes(os.urandom(5_000))
+        not_a_dir = tmp_path / "inbox"
+        not_a_dir.write_bytes(b"a regular file")
+        send_out, recv_out = io.StringIO(), io.StringIO()
+
+        async def scenario():
+            send_args = parser.parse_args(["send", "--sim-config", sim_config_path, str(src)])
+            send_task = world.kernel.spawn(cli.send_command(send_args, world, send_out))
+            from pcp.kernel import sleep
+
+            code = None
+            while code is None:
+                await sleep(0.05)
+                for line in send_out.getvalue().splitlines():
+                    if line.startswith(CODE_PREFIX):
+                        code = line[len(CODE_PREFIX):]
+            recv_args = parser.parse_args(
+                ["receive", "--yes", "--dir", str(not_a_dir), "--sim-config",
+                 sim_config_path, code]
+            )
+            recv_rc = await cli.receive_command(recv_args, world, recv_out)
+            return await send_task.join(), recv_rc
+
+        send_rc, recv_rc = world.kernel.run(scenario())
+        assert recv_rc == 6
+        assert "pcp: transfer aborted (" in recv_out.getvalue()
+        assert send_rc == 6
+        assert "pcp: transfer aborted (" in send_out.getvalue()
+        assert not_a_dir.read_bytes() == b"a regular file"
+        assert sorted(os.listdir(tmp_path)) == ["inbox", "payload.bin", "sim.json"]
 
     def test_simulate_scenario_subprocess(self, sim_config_path):
         # the real console entry point, as a separate OS process

@@ -307,3 +307,50 @@ class TestEndToEnd:
         assert s_out.status == "aborted"
         assert r_out.status == "aborted"
         assert _no_partials(dest)
+
+
+class TestConfirmedPeerMisbehaves:
+    """A peer that passed key confirmation still gets every message checked."""
+
+    @pytest.mark.parametrize(
+        "frame, reason",
+        [
+            (transfer._app_frame(transfer.SUB_MANIFEST, b"{not json"), "unreadable manifest"),
+            (b"", "empty application frame"),
+        ],
+        ids=["unparseable-manifest", "empty-app-frame"],
+    )
+    def test_receiver_aborts_on_malformed_first_frame(self, frame, reason, tmp_path):
+        fx = _ChannelFixture()
+        dest = str(tmp_path / "inbox")
+
+        async def main():
+            chan_s, chan_r = await fx.channels()
+            rt = spawn(receive_file(chan_r, accept_all, dest))
+            await chan_s.send(frame)
+            return await rt.join(), chan_r
+
+        r_out, chan_r = fx.kernel.run(main())
+        assert r_out.status == "aborted"
+        assert r_out.reason.startswith(reason)
+        assert chan_r.aborted
+        assert _no_partials(dest)
+
+    def test_sender_aborts_on_unexpected_reply_subtype(self, tmp_path):
+        fx = _ChannelFixture()
+        src = tmp_path / "src.bin"
+        src.write_bytes(b"body that must never be sent")
+
+        async def main():
+            chan_s, chan_r = await fx.channels()
+            st = spawn(send_file(chan_s, str(src)))
+            await chan_r.recv()  # the manifest
+            await chan_r.send(transfer._app_frame(transfer.SUB_CHUNK))
+            return await st.join(), chan_s
+
+        s_out, chan_s = fx.kernel.run(main())
+        assert s_out.status == "aborted"
+        assert s_out.reason == "expected accept/reject, got sub-type 0x04"
+        assert chan_s.aborted
+        assert chan_s.frames_sealed == 1  # the manifest only, never any chunk
+        assert _no_partials(str(tmp_path))
