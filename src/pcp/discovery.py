@@ -11,16 +11,18 @@ for multicast announcement on a LAN segment.
 
 Lookups poll: the querying side typically starts before the provider has
 published, so a one-shot fetch would miss it. A stream yields each live
-provider at most once and ends at its deadline.
+provider at most once and ends at its deadline; it queries only while its
+reader waits in ``next()``, so dropping or cancelling the reader ends it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import kernel as ker
-from .errors import BackendUnavailable
-from .simnet import WAN_LINK, SimNode, PeerAddress, SimulatedNetwork
+from .errors import BackendUnavailable, InvalidArgument
+from .simnet import WAN_LINK, LatencyRange, PeerAddress, SimNode, SimulatedNetwork
 
 DEFAULT_TTL = 86_400.0  # records may linger for up to 24 hours
 
@@ -37,10 +39,13 @@ class ProviderRecord:
 
 
 class ProviderStream:
-    """Single-consumer incremental lookup results.
+    """Single-consumer incremental lookup, polled on the task that reads it.
 
     ``next()`` returns the next previously-unseen live provider, or None
-    once the deadline has passed. ``cancel()`` stops the underlying poll.
+    once the deadline has passed. With nothing buffered it queries the
+    backend, at most once per ``query_interval`` after the previous query
+    ended; an answer that lands after the deadline is dropped. A stream
+    nobody reads does no work.
     """
 
     def __init__(self, backend: "DiscoveryBackend", node: SimNode, key: bytes, deadline: float):
@@ -49,46 +54,30 @@ class ProviderStream:
         self._key = key
         self._deadline = deadline  # absolute virtual time
         self._yielded: set[str] = set()
-        self._ready: ker.Queue = ker.Queue()
-        self._cancelled = False
-        self._task = node.kernel.spawn(self._poll_loop(), name="provider-poll")
+        self._ready: deque[PeerAddress] = deque()
+        self._next_query = node.kernel.now()
 
-    async def _poll_loop(self):
+    async def next(self) -> PeerAddress | None:
         kernel = self._node.kernel
-        interval = self._backend.query_interval
-        while kernel.now() < self._deadline:
-            try:
-                answers = await self._backend._query_once(self._node, self._key)
-            except BackendUnavailable:
-                return  # next() reports the stop to the consumer
+        while True:
+            if not self._backend.started:
+                raise BackendUnavailable("backend stopped during lookup")
+            if self._ready:
+                return self._ready.popleft()
+            now = kernel.now()
+            if now >= self._deadline:
+                return None
+            if now < self._next_query:
+                await ker.sleep(min(self._next_query, self._deadline) - now)
+                continue
+            answers = await self._backend._query_once(self._node, self._key)
+            self._next_query = kernel.now() + self._backend.query_interval
+            if kernel.now() > self._deadline:
+                return None  # the answer landed too late: dropped
             for addr in answers:
                 if addr.peer_id not in self._yielded and addr.peer_id != self._node.address.peer_id:
                     self._yielded.add(addr.peer_id)
-                    self._ready.put(addr)
-            await ker.sleep(interval)
-
-    async def next(self) -> PeerAddress | None:
-        if self._cancelled:
-            return None
-        while True:
-            if not self._backend.started:
-                self.cancel()
-                raise BackendUnavailable("backend stopped during lookup")
-            remaining = self._deadline - self._node.kernel.now()
-            if remaining <= 0 and not len(self._ready):
-                self.cancel()
-                return None
-            try:
-                # small grace so results landing exactly at the deadline count
-                timeout = remaining if remaining > 0 else 0.0
-                return await self._ready.get(timeout=timeout)
-            except ker.WaitTimeout:
-                continue
-
-    def cancel(self) -> None:
-        if not self._cancelled:
-            self._cancelled = True
-            self._task.cancel()
+                    self._ready.append(addr)
 
 
 class DiscoveryBackend:
@@ -96,6 +85,7 @@ class DiscoveryBackend:
 
     Each operation sleeps a uniform draw from ``op_latency`` seconds on the
     backend's own RNG stream; lookups poll every ``query_interval`` seconds.
+    Both are checked here, so a bad sim config fails with InvalidArgument.
     """
 
     op_latency: tuple[float, float]
@@ -116,6 +106,9 @@ class DiscoveryBackend:
             self.op_latency = op_latency
         if query_interval is not None:
             self.query_interval = query_interval
+        if not self.query_interval > 0:
+            raise InvalidArgument(f"query interval must be positive, got {self.query_interval}")
+        self._latency = LatencyRange(*self.op_latency)
         self._rng = self.kernel.rng(self.rng_stream)
 
     @property
@@ -129,15 +122,11 @@ class DiscoveryBackend:
         if not self.started:
             raise BackendUnavailable(f"{self.name} is stopped")
 
-    def _draw(self) -> float:
-        lo, hi = self.op_latency
-        return lo if hi <= lo else self._rng.uniform(lo, hi)
-
     async def provide(self, node: SimNode, key: bytes, ttl: float = DEFAULT_TTL):
         raise NotImplementedError
 
     def find_providers(self, node: SimNode, key: bytes, deadline: float) -> ProviderStream:
-        """Start a lookup ending ``deadline`` seconds from now."""
+        """A lookup ending ``deadline`` seconds from now; it queries only while read."""
         self._check_started()
         return ProviderStream(self, node, key, self.kernel.now() + deadline)
 
@@ -164,7 +153,7 @@ class SimulatedDht(DiscoveryBackend):
 
     async def provide(self, node: SimNode, key: bytes, ttl: float = DEFAULT_TTL):
         self._check_started()
-        await ker.sleep(self._draw())
+        await ker.sleep(self._latency.draw(self._rng))
         if not self.network.wan_reachable(node):
             self.network.trace.emit(
                 "provide_lost", backend="dht", node=node.address.short(), key=key.hex()[:16]
@@ -178,7 +167,7 @@ class SimulatedDht(DiscoveryBackend):
 
     async def _query_once(self, node: SimNode, key: bytes) -> list[PeerAddress]:
         self._check_started()
-        await ker.sleep(self._draw())
+        await ker.sleep(self._latency.draw(self._rng))
         if not self.network.wan_reachable(node):
             return []
         now = self.kernel.now()
@@ -228,7 +217,7 @@ class SimulatedMdns(DiscoveryBackend):
         by name; call ``provide`` instead.
         """
         self._check_started()
-        await ker.sleep(self._draw())
+        await ker.sleep(self._latency.draw(self._rng))
         record = ProviderRecord(key, node.address, self.kernel.now(), ttl)
         for link in self._local_links(node):
             table = self._ads.setdefault(link.link_id, {}).setdefault(key, {})
@@ -243,7 +232,7 @@ class SimulatedMdns(DiscoveryBackend):
 
     async def _query_once(self, node: SimNode, key: bytes) -> list[PeerAddress]:
         self._check_started()
-        await ker.sleep(self._draw())
+        await ker.sleep(self._latency.draw(self._rng))
         now = self.kernel.now()
         found: dict[str, PeerAddress] = {}
         for link in self._local_links(node):

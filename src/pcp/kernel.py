@@ -167,19 +167,6 @@ class Task:
         return self.result
 
 
-class _Entry:
-    """Heap entry: a scheduled callback or task resumption."""
-
-    __slots__ = ("fn", "cancelled")
-
-    def __init__(self, fn: Callable[[], None]):
-        self.fn = fn
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class Kernel:
     """Owns the clock, the run queue, the trace log, and seeded RNG streams."""
 
@@ -188,7 +175,7 @@ class Kernel:
         self.clock = VirtualClock(start_time)
         self.trace = TraceLog(self.clock)
         self.current_task: Task | None = None
-        self._heap: list[tuple[float, int, _Entry]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._rngs: dict[str, random.Random] = {}
         self._unhandled: list[Task] = []
@@ -207,14 +194,12 @@ class Kernel:
 
     # -- scheduling --------------------------------------------------------
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> _Entry:
-        entry = _Entry(fn)
+    def call_at(self, when: float, fn: Callable[[], None]) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (max(when, self.clock.now()), self._seq, entry))
-        return entry
+        heapq.heappush(self._heap, (max(when, self.clock.now()), self._seq, fn))
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> _Entry:
-        return self.call_at(self.clock.now() + delay, fn)
+    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+        self.call_at(self.clock.now() + delay, fn)
 
     def spawn(self, coro: Coroutine, name: str | None = None) -> Task:
         task = Task(self, coro, name)
@@ -301,11 +286,9 @@ class Kernel:
                     raise KernelDeadlock(
                         f"no runnable work but {main.name} has not finished"
                     )
-                when, _, entry = heapq.heappop(self._heap)
-                if entry.cancelled:
-                    continue
+                when, _, fn = heapq.heappop(self._heap)
                 self.clock._advance(when)
-                entry.fn()
+                fn()
         finally:
             self._running = False
             _current_kernel = previous

@@ -106,7 +106,6 @@ class _SessionState:
         self.winner: _Candidate | None = None
         self.auth_failures = 0
         self._tasks: list[ker.Task] = []
-        self._streams: list[ProviderStream] = []
         self._cancelled = False
         node.network.trace.emit(
             "phase", role=role, node=node.address.short(), phase=self.phase
@@ -142,10 +141,6 @@ class _SessionState:
         self._tasks.append(task)
         return self._tasks[-1]
 
-    def track_stream(self, stream: ProviderStream) -> ProviderStream:
-        self._streams.append(stream)
-        return stream
-
     def cancel_losers(self, winners: Queue) -> None:
         """Tear down everything except the winning channel, promptly."""
         while True:
@@ -158,8 +153,6 @@ class _SessionState:
         if self._cancelled:
             return
         self._cancelled = True
-        for stream in self._streams:
-            stream.cancel()
         for task in self._tasks:
             task.cancel()
         self.node.network.trace.emit(
@@ -354,17 +347,28 @@ async def run_receiver(
     kernel = node.kernel
     state = _SessionState(node, ROLE_RECEIVER)
     deadline_at = kernel.now() + config.discovery_deadline
-    found: Queue = Queue()  # (PeerAddress, binding id string)
     winners: Queue = Queue()
     dialed: set[str] = set()
     node.network.trace.emit(
         "session_start", role=ROLE_RECEIVER, node=node.address.short(), channel=channel
     )
 
+    async def candidate(addr: PeerAddress, binding: str) -> None:
+        try:
+            conn = await node.dial(addr)
+        except DialError:
+            return  # simnet already traced the failed dial
+        await _authenticate(
+            state, conn, PakeSecret(secret_bytes, binding), ROLE_INITIATOR, rng, config, winners
+        )
+
     async def pump(stream: ProviderStream, binding: str) -> None:
+        """Read one lookup to its deadline, dialing each provider not dialed yet."""
         try:
             while (addr := await stream.next()) is not None:
-                found.put((addr, binding))
+                if addr.peer_id not in dialed:
+                    dialed.add(addr.peer_id)
+                    state.track(kernel.spawn(candidate(addr, binding), name="receiver-candidate"))
         except BackendUnavailable:
             logger.warning("a discovery backend stopped mid-lookup")
 
@@ -380,9 +384,7 @@ async def run_receiver(
                 started.add(key.id_string)
                 for backend in config.backends:
                     try:
-                        stream = state.track_stream(
-                            backend.find_providers(node, key.content_key, deadline=remaining)
-                        )
+                        stream = backend.find_providers(node, key.content_key, deadline=remaining)
                     except BackendUnavailable:
                         continue
                     state.track(kernel.spawn(pump(stream, key.id_string), name="pump"))
@@ -390,25 +392,7 @@ async def run_receiver(
             boundary = slot.start + SLOT_WIDTH
             await ker.sleep(max(boundary - kernel.now(), 0.001))
 
-    async def candidate(addr: PeerAddress, binding: str) -> None:
-        try:
-            conn = await node.dial(addr)
-        except DialError:
-            return  # simnet already traced the failed dial
-        await _authenticate(
-            state, conn, PakeSecret(secret_bytes, binding), ROLE_INITIATOR, rng, config, winners
-        )
-
-    async def dialer() -> None:
-        while True:
-            addr, binding = await found.get()
-            if addr.peer_id in dialed:
-                continue
-            dialed.add(addr.peer_id)
-            state.track(kernel.spawn(candidate(addr, binding), name="receiver-candidate"))
-
     state.track(kernel.spawn(querier(), name="receiver-query"))
-    state.track(kernel.spawn(dialer(), name="receiver-dial"))
     try:
         winner = await _pick_winner(state, winners, deadline_at)
         if winner is None:

@@ -147,14 +147,6 @@ class SimulatedNetwork:
         node = self._nodes.get(peer_id)
         return node is not None and not node.stopped
 
-    def links_between(self, a: "SimNode", b: "SimNode") -> list[VirtualLink]:
-        shared = []
-        for link_id in a.links:
-            link = self._links[link_id]
-            if link.up and b.address.peer_id in link.members:
-                shared.append(link)
-        return shared
-
     def wan_reachable(self, node: "SimNode") -> bool:
         link = self._links.get(WAN_LINK)
         return (
@@ -166,7 +158,11 @@ class SimulatedNetwork:
 
     def shared_live_links(self, a: "SimNode", b: "SimNode") -> list[VirtualLink]:
         """Live links both nodes sit on, cheapest first (stable order)."""
-        shared = self.links_between(a, b)
+        shared = []
+        for link_id in a.links:
+            link = self._links[link_id]
+            if link.up and b.address.peer_id in link.members:
+                shared.append(link)
         shared.sort(key=lambda l: (l.latency.mean, l.link_id))
         return shared
 

@@ -29,7 +29,7 @@ from .discovery import DiscoveryBackend, SimulatedDht, SimulatedMdns
 from .errors import InvalidArgument
 from .kernel import DEFAULT_START_TIME, Kernel
 from .session import SessionConfig
-from .simnet import SimNode, SimulatedNetwork
+from .simnet import DEFAULT_LAN_LATENCY, DEFAULT_WAN_LATENCY, SimNode, SimulatedNetwork
 
 
 def _ms_pair(value: Any, fallback: tuple[float, float] | None = None) -> tuple[float, float]:
@@ -96,14 +96,12 @@ class SimWorld:
         self.network = SimulatedNetwork(
             self.kernel,
             wan=wan_spec is not None,
-            wan_latency=_ms_pair(
-                (wan_spec or {}).get("latency_ms"), (0.02, 0.08)
-            ),
+            wan_latency=_ms_pair((wan_spec or {}).get("latency_ms"), DEFAULT_WAN_LATENCY),
         )
         for link_id, spec in config.links.items():
             self.network.create_link(
                 link_id,
-                latency=_ms_pair(spec.get("latency_ms"), (0.001, 0.005)),
+                latency=_ms_pair(spec.get("latency_ms"), DEFAULT_LAN_LATENCY),
                 loss=float(spec.get("loss", 0.0)),
             )
         self.backends: list[DiscoveryBackend] = []

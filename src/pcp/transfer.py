@@ -273,14 +273,15 @@ async def receive_file(
             await chan.send(_app_frame(SUB_REJECT))
             await chan.close()
             return TransferOutcome(STATUS_REJECTED, 0, reason="declined")
-        await chan.send(_app_frame(SUB_ACCEPT))
 
+        # a destination we cannot write fails here, before the sender is told to stream
         os.makedirs(dest_dir, exist_ok=True)
         digest = hashlib.sha256()
         with tempfile.NamedTemporaryFile(
             mode="wb", dir=dest_dir, prefix=".partial-", suffix=".pcp", delete=False
         ) as tmp:
             tmp_name = tmp.name
+            await chan.send(_app_frame(SUB_ACCEPT))
             while True:
                 subtype, payload = _split_app_frame(await chan.recv())
                 if subtype == SUB_END:

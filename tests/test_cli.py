@@ -8,6 +8,7 @@ import pytest
 
 from pcp import cli
 from pcp.cli import CODE_PREFIX, build_parser, main, render_progress
+from pcp.errors import InvalidArgument
 from pcp.passphrase import parse_passphrase
 from pcp.simworld import SimConfig, SimWorld
 
@@ -323,6 +324,24 @@ class TestSimConfig:
         mdns = world.backends[1]
         assert mdns.op_latency == (0.002, 0.008)
         assert mdns.query_interval == 0.1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"dht": {"op_latency_ms": [800, 200]}},
+            {"mdns": {"op_latency_ms": [-5, -1]}},
+            {"dht": {"query_interval_ms": 0}},
+            {"mdns": {"op_latency_ms": 0, "query_interval_ms": 0}},
+        ],
+    )
+    def test_bad_backend_timing_is_usage_error(self, spec, tmp_path):
+        with pytest.raises(InvalidArgument):
+            SimWorld(SimConfig.from_dict(spec))
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(spec))
+        out = io.StringIO()
+        assert main(["simulate", "--sim-config", str(path)], out=out) == 2
+        assert "cannot load sim config" in out.getvalue()
 
     def test_null_disables_backend(self):
         cfg = SimConfig.from_dict({"dht": None})

@@ -139,7 +139,33 @@ def test_provider_published_after_query_start_is_found():
         assert addr is not None and addr.peer_id == a.address.peer_id
         # found strictly after the publish completed, within the deadline
         assert 0.15 < current_time() - 1_700_000_000.0 <= 1.0
-        stream.cancel()
+
+    k.run(main())
+
+
+def test_unread_lookup_does_no_work():
+    k, net, dht, _ = make()
+
+    async def main():
+        a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
+        await dht.provide(a, K1)
+        dht.find_providers(b, K1, deadline=1.0)  # never read
+        await sleep(2.0)
+
+    k.run(main())
+    assert [e for e in net.trace.events if e["event"] == "provider_found"] == []
+
+
+def test_answer_landing_after_deadline_is_dropped():
+    k, net, dht, _ = make(op_latency=(0.5, 0.5))
+
+    async def main():
+        a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
+        await dht.provide(a, K1)
+        assert await dht.find_providers(b, K1, deadline=0.3).next() is None
+        # the record is there: a lookup that outlives one query finds it
+        found = await collect(dht.find_providers(b, K1, deadline=1.0))
+        assert [f.peer_id for f in found] == [a.address.peer_id]
 
     k.run(main())
 
@@ -209,6 +235,27 @@ def test_stopped_backend_raises_unavailable():
     k.run(main())
 
 
+def test_backend_stopped_mid_lookup_raises_at_the_next_query():
+    k, net, dht, _ = make()
+
+    async def main():
+        b = net.spawn_node(["lan0"])
+        stream = dht.find_providers(b, K1, deadline=10.0)
+
+        async def stopper():
+            await sleep(0.3)
+            dht.stop()
+
+        spawn(stopper())
+        t0 = current_time()
+        with pytest.raises(BackendUnavailable):
+            await stream.next()
+        # not held until the deadline: the first query after the stop fails
+        assert current_time() - t0 < 0.5
+
+    k.run(main())
+
+
 def test_stopped_provider_not_reported():
     k, net, dht, mdns = make()
 
@@ -270,7 +317,6 @@ def test_local_backend_faster_than_global():
             stream = backend.find_providers(b, K1, deadline=5.0)
             addr = await stream.next()
             results.append((current_time() - t0, tag, addr.peer_id))
-            stream.cancel()
 
         t1 = spawn(probe(mdns, "mdns"))
         t2 = spawn(probe(dht, "dht"))

@@ -206,6 +206,26 @@ class TestEndToEnd:
         assert not os.path.exists(os.path.join(dest, "src.bin"))
         assert _no_partials(dest)
 
+    def test_unwritable_destination_aborts_before_accept(self, tmp_path):
+        fx = _ChannelFixture()
+        src = tmp_path / "src.bin"
+        src.write_bytes(b"data")
+        not_a_dir = tmp_path / "inbox"
+        not_a_dir.write_bytes(b"a regular file")
+
+        async def main():
+            chan_s, chan_r = await fx.channels()
+            st = spawn(send_file(chan_s, str(src)))
+            rt = spawn(receive_file(chan_r, accept_all, str(not_a_dir)))
+            return await st.join(), await rt.join(), chan_r
+
+        s_out, r_out, chan_r = fx.kernel.run(main())
+        assert r_out.status == "aborted"
+        assert s_out.status == "aborted"
+        assert chan_r.frames_sealed == 0  # the sender was never told to stream
+        assert not_a_dir.read_bytes() == b"a regular file"
+        assert sorted(os.listdir(tmp_path)) == ["inbox", "src.bin"]
+
     def test_default_deny_without_decider(self, tmp_path):
         s_out, r_out, dest, chan_s = _run_transfer(b"data", tmp_path, decide=None)
         assert s_out.status == "rejected"
