@@ -11,8 +11,11 @@ wrong guess only shows up when key confirmation fails.
 The group is a 3072-bit prime-field Schnorr group (256-bit prime-order
 subgroup) from the published DSA-style parameter sets; the two blinding
 elements are nothing-up-my-sleeve values hashed from fixed seed strings
-into the subgroup. Exponentiation uses gmpy2 when installed, otherwise
-the built-in pow.
+into the subgroup, pinned here as literals (a test re-derives them).
+Exponentiations with a fixed base (G, M, N) use a Lim-Lee comb over
+tables built at import; the two with a peer-chosen base (the subgroup
+check and the shared secret) use gmpy2 when installed, otherwise the
+built-in pow.
 """
 
 from __future__ import annotations
@@ -84,8 +87,78 @@ def _hash_to_subgroup(seed: bytes) -> int:
     return element
 
 
-_M = _hash_to_subgroup(b"pcp pake blinding element M")
-_N = _hash_to_subgroup(b"pcp pake blinding element N")
+# _hash_to_subgroup(b"pcp pake blinding element M") and (... b"... N"),
+# pinned so that no process start pays two 2816-bit exponentiations;
+# tests/test_pake.py re-derives both.
+_M = int(
+    "40AD9C137A123F91931D5BEE7AEDCD0B074BD8F527014DFAA73B36EAD05F5CC0"
+    "9252518C22F223A69CCD0B31DC5F035932E20BD573D40E028570EEEFCF0FB2EC"
+    "0A508ADDC85EE04CCDC0E29300E624365F5BE73E16C3392ED34102FE7783F547"
+    "BB8B3C97E907FE8CDBDA4E946D2C6E0BAB8C9F9889FD85F85145214A8A91D3EA"
+    "622C4C402748A955E9578F838D3D7B0C10B42C450F7C1E598CB9AE87394FDB43"
+    "D5FD10E515B82552159B5E613129383B3F57A04A6465FAA45F9478ABC46C4344"
+    "A05D654221BFBB43FF225F02838828832E324BD6AF2A670A1B1E27977B2BA62D"
+    "F1D6A1F6D5572C0AC48319200B5BC21A9103C79F3F8002B9C8CA1E2D6415887A"
+    "9099302C6E67AF9988510D8C6250F049EFADF972C1DA7EE882918FD60B47F3BF"
+    "CE46E159FCCC29005D93DFE6D14F4984C45707556429EB79FBBDEF316F0F9521"
+    "1646D2DEEBBA64FEB81549BF7F326747D1FFBED9F6C7BA714801068AE5847401"
+    "50AF08715212DACE1E1A923F8B1A418B3EE1FD12AAF15F38F1478CA48E519FBF",
+    16,
+)
+_N = int(
+    "7A84E7400DF7391C8E27EBD7C3CF1E6F6CC73AE4A5A45482E6FC1252456482E3"
+    "B710842B5BB1954A61F76E6234730BDD2879912ECCCE9B1CA991381FA7E71A54"
+    "69A30EF5E946045080D6FD0EF5FFBE7E6A06B5992D56E40D9F427C02EFDA6CD0"
+    "67E99695ED2C2671C1360A1E0E7F2E49D3C0B7FCFFE43BE80B650D0D75394B08"
+    "9C027443178045A63329C7908928D1749084ECE293B7EC4D5B81A0D5020D6A09"
+    "D1F3394CAC2D3ACEFFB7C2B9451712C95D3263DE0C9703420287EC13B12AFDD4"
+    "D080A5C69F78B455EEED75148A491D6CF5503C4230606099E16AB87713889000"
+    "6B36ED9C761BF55BC967B81845AD8A7088813E75FC0E82CB3FA12B02D6604ED2"
+    "56D9701CC0E3C419C80F3834E5E56812248035E5D39E86C9E79BEAB56D6ACD7C"
+    "59A7431F0F0802DB7AF46A6CDBFA56BBA08DDC1948CF08A27B1971CC5C202E9E"
+    "2AF43BD26F59D40EFD9672D67ED053E2A766FEA282D02B53959B8A3C9DAB539E"
+    "B8FE79F9FA1BA4208C628E11AC8491E7D64716C4BB598A045D905ED57FB2CF9D",
+    16,
+)
+
+# Lim-Lee fixed-base comb (HAC 14.6.3, one block per row): an exponent below
+# 2**256 is read as _COMB_ROWS rows of _COMB_COLS bits, and the table for a
+# base holds, for every subset of rows, the product of base**(2**(row * cols))
+# over that subset. One exponentiation is then _COMB_COLS squarings and at
+# most _COMB_COLS multiplications, against about 300 for pow. Each table has
+# 256 entries (about 110 KiB); building all three costs about 50 ms at import.
+_COMB_ROWS = 8
+_COMB_COLS = 32
+
+
+def _comb_table(base: int) -> list[int]:
+    table = [1]
+    row_base = base
+    for row in range(_COMB_ROWS):
+        if row:
+            row_base = _pow(row_base, 1 << _COMB_COLS, _P)
+        table += [entry * row_base % _P for entry in table]
+    return table
+
+
+_COMB_TABLES = {base: _comb_table(base) for base in (_G, _M, _N)}
+
+
+def _fixed_pow(base: int, exp: int) -> int:
+    """``base ** exp mod P`` for base G, M or N and 0 <= exp < 2**256."""
+    if exp >> (_COMB_ROWS * _COMB_COLS):
+        raise ValueError("exponent outside the comb's 256 bits")
+    table = _COMB_TABLES[base]
+    rows = [exp >> (row * _COMB_COLS) for row in range(_COMB_ROWS)]
+    acc = 1
+    for col in range(_COMB_COLS - 1, -1, -1):
+        acc = acc * acc % _P
+        index = 0
+        for row in range(_COMB_ROWS):
+            index |= ((rows[row] >> col) & 1) << row
+        if index:
+            acc = acc * table[index] % _P
+    return acc
 
 
 def _password_scalar(password: bytes) -> int:
@@ -127,8 +200,8 @@ class PakeParty:
         self._x = rng.randrange(1, _Q)
         self._blind = _M if role == ROLE_INITIATOR else _N
         self._peer_blind = _N if role == ROLE_INITIATOR else _M
-        share = _pow(_G, self._x, _P)
-        self._element = share * _pow(self._blind, self._w, _P) % _P
+        share = _fixed_pow(_G, self._x)
+        self._element = share * _fixed_pow(self._blind, self._w) % _P
         self._message = encode_element(self._element)
 
     def message(self) -> bytes:
@@ -138,7 +211,7 @@ class PakeParty:
     def derive(self, peer_message: bytes) -> bytes:
         """Unblind the peer's share and hash the transcript to a 32-byte master."""
         peer_element = decode_element(peer_message)
-        unblind = _pow(self._peer_blind, (_Q - self._w) % _Q, _P)
+        unblind = _fixed_pow(self._peer_blind, (_Q - self._w) % _Q)
         shared = _pow(peer_element * unblind % _P, self._x, _P)
         if self.role == ROLE_INITIATOR:
             msg_x, msg_y = self._message, peer_message

@@ -5,8 +5,9 @@ the sub-payload. The sender opens with a manifest (canonical JSON), waits
 for the receiver's explicit accept, then streams fixed-size chunks, each
 tagged with its byte offset, and finishes with an empty end marker. The
 receiver writes into a temporary file in the destination directory,
-verifies the whole-file digest, and only then renames into place — a
-failed or rejected transfer never leaves partial artifacts.
+verifies the whole-file digest, and only then moves it onto a name it has
+claimed exclusively — a failed or rejected transfer never leaves partial
+artifacts, and an existing file is never replaced.
 
 Nothing is transmitted without an accept: silence, timeout, or a scripted
 "no" all mean reject.
@@ -59,7 +60,10 @@ class TransferManifest:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
-        raw = self.name.encode("utf-8")
+        try:
+            raw = self.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidArgument("filename is not valid UTF-8") from None
         if not self.name or len(raw) > MAX_NAME_BYTES:
             raise InvalidArgument("filename must be 1..255 bytes")
         if self.name in (".", "..") or any(sep in self.name for sep in ("/", "\\", "\x00")):
@@ -87,7 +91,7 @@ class TransferManifest:
     def decode(cls, raw: bytes) -> "TransferManifest":
         try:
             doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, too many digits, too deep
             raise ProtocolError(f"unreadable manifest: {e}") from None
         if not isinstance(doc, dict) or set(doc) != {"chunk", "name", "sha256", "size"}:
             raise ProtocolError("manifest must have exactly chunk/name/sha256/size")
@@ -238,15 +242,22 @@ async def await_confirmation(
         return False
 
 
-def _reserve_destination(dest_dir: str, name: str) -> str:
-    """Pick a non-clobbering final path: 'name', then 'name (1)', ..."""
+def _claim_destination(dest_dir: str, name: str) -> str:
+    """Create an empty placeholder at 'name', else 'name (1)', ...; return its path.
+
+    O_EXCL makes choosing a free name and taking it one step, so a file that
+    appears at that name meanwhile is never replaced.
+    """
     candidate = os.path.join(dest_dir, name)
     stem, ext = os.path.splitext(name)
     n = 0
-    while os.path.lexists(candidate):
-        n += 1
-        candidate = os.path.join(dest_dir, f"{stem} ({n}){ext}")
-    return candidate
+    while True:
+        try:
+            os.close(os.open(candidate, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600))
+            return candidate
+        except FileExistsError:
+            n += 1
+            candidate = os.path.join(dest_dir, f"{stem} ({n}){ext}")
 
 
 async def receive_file(
@@ -256,7 +267,7 @@ async def receive_file(
     decision_timeout: float = 60.0,
     progress: ProgressFn | None = None,
 ) -> TransferOutcome:
-    """Run the receiving half: manifest, decision, body, verify, rename.
+    """Run the receiving half: manifest, decision, body, verify, place.
 
     Any protocol violation, lost connection or local I/O error aborts the
     channel and ends in an aborted outcome; no partial file is left behind.
@@ -303,8 +314,12 @@ async def receive_file(
         if received != manifest.size or digest.hexdigest() != manifest.sha256_hex:
             raise ProtocolError("content digest mismatch")
 
-        final_path = _reserve_destination(dest_dir, manifest.name)
-        os.rename(tmp_name, final_path)
+        final_path = _claim_destination(dest_dir, manifest.name)
+        try:
+            os.replace(tmp_name, final_path)
+        except OSError:
+            os.unlink(final_path)
+            raise
     except (PcpError, OSError) as e:
         chan.abort()
         return TransferOutcome(STATUS_ABORTED, received, reason=str(e))
@@ -313,7 +328,7 @@ async def receive_file(
             try:
                 os.unlink(tmp_name)
             except FileNotFoundError:
-                pass  # renamed into place on success
+                pass  # moved into place on success
 
     await chan.close()
     return TransferOutcome(

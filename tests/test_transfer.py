@@ -1,12 +1,15 @@
 import hashlib
+import json
 import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcp import auth, transfer
 from pcp.auth import PakeSecret, confirm_key, pake_handshake
-from pcp.errors import InvalidArgument, ProtocolError
+from pcp.errors import ConnectionLost, InvalidArgument, ProtocolError
 from pcp.kernel import Kernel, sleep, spawn
 from pcp.simnet import SimulatedNetwork
 from pcp.transfer import (
@@ -256,6 +259,41 @@ class TestEndToEnd:
         s_out, r_out2, _, _ = _run_transfer(b"third copy", tmp_path)
         assert os.path.basename(r_out2.path) == "src (2).bin"
 
+    def test_file_appearing_at_the_chosen_name_is_never_replaced(self, tmp_path, monkeypatch):
+        # Another writer creates the chosen name just before the receiver's
+        # first filesystem call on it (a claim, a rename or a replace).
+        target = str(tmp_path / "inbox" / "src.bin")
+        appeared = []
+
+        def interloper_first(real, path_arg):
+            def call(*args, **kwargs):
+                if args[path_arg] == target and not appeared:
+                    appeared.append(target)
+                    with open(target, "xb") as f:
+                        f.write(b"written by someone else")
+                return real(*args, **kwargs)
+            return call
+
+        for fn_name, path_arg in (("open", 0), ("rename", 1), ("replace", 1), ("link", 1)):
+            monkeypatch.setattr(os, fn_name, interloper_first(getattr(os, fn_name), path_arg))
+        s_out, r_out, dest, _ = _run_transfer(b"new content", tmp_path)
+        assert appeared
+        assert r_out.status == "completed"
+        assert open(target, "rb").read() == b"written by someone else"
+        assert os.path.basename(r_out.path) == "src (1).bin"
+        assert open(r_out.path, "rb").read() == b"new content"
+        assert _no_partials(dest)
+
+    def test_failed_placement_removes_the_claimed_name(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError("placement refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        s_out, r_out, dest, _ = _run_transfer(b"new content", tmp_path)
+        assert r_out.status == "aborted"
+        assert r_out.reason == "placement refused"
+        assert os.listdir(dest) == []
+
     def test_partition_mid_stream_aborts_and_leaves_nothing(self, tmp_path):
         # jittered latency so chunk arrivals spread over distinct ticks
         fx = _ChannelFixture(latency=(0.005, 0.08))
@@ -329,6 +367,11 @@ class TestEndToEnd:
         assert _no_partials(dest)
 
 
+def _app_frame_manifest(name_json, size_json):
+    doc = f'{{"chunk":65536,"name":{name_json},"sha256":"{EMPTY_SHA256}","size":{size_json}}}'
+    return transfer._app_frame(transfer.SUB_MANIFEST, doc.encode())
+
+
 class TestConfirmedPeerMisbehaves:
     """A peer that passed key confirmation still gets every message checked."""
 
@@ -337,8 +380,14 @@ class TestConfirmedPeerMisbehaves:
         [
             (transfer._app_frame(transfer.SUB_MANIFEST, b"{not json"), "unreadable manifest"),
             (b"", "empty application frame"),
+            (_app_frame_manifest('"\\ud800"', "0"), "manifest failed validation"),
+            (_app_frame_manifest('"a"', "9" * 5000), "unreadable manifest"),
+            (transfer._app_frame(transfer.SUB_MANIFEST, b"[" * 100_000), "unreadable manifest"),
         ],
-        ids=["unparseable-manifest", "empty-app-frame"],
+        ids=[
+            "unparseable-manifest", "empty-app-frame", "lone-surrogate-name",
+            "size-beyond-int-digit-limit", "nesting-beyond-recursion-limit",
+        ],
     )
     def test_receiver_aborts_on_malformed_first_frame(self, frame, reason, tmp_path):
         fx = _ChannelFixture()
@@ -374,3 +423,64 @@ class TestConfirmedPeerMisbehaves:
         assert chan_s.aborted
         assert chan_s.frames_sealed == 1  # the manifest only, never any chunk
         assert _no_partials(str(tmp_path))
+
+
+# Any JSON value, strings drawn from every code point including lone surrogates.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(st.characters(exclude_categories=()), max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+_manifest_payloads = st.one_of(
+    st.binary(max_size=32),
+    _json_values.map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries({
+        "chunk": st.integers(-1, 2 * transfer.MAX_CHUNK_SIZE) | _json_values,
+        "name": st.text(st.characters(exclude_categories=()), max_size=12) | _json_values,
+        "sha256": st.just(EMPTY_SHA256) | st.text(max_size=64) | _json_values,
+        "size": st.integers(-1, 64) | _json_values,
+    }).map(lambda doc: json.dumps(doc).encode()),
+)
+_chunk_payloads = st.builds(
+    lambda offset, data: offset.to_bytes(8, "big") + data,
+    st.integers(0, 64) | st.integers(0, 2**64 - 1),
+    st.binary(max_size=64),
+)
+_app_frames = st.one_of(
+    _manifest_payloads.map(lambda p: transfer._app_frame(transfer.SUB_MANIFEST, p)),
+    _chunk_payloads.map(lambda p: transfer._app_frame(transfer.SUB_CHUNK, p)),
+    st.sampled_from([transfer.SUB_ACCEPT, transfer.SUB_REJECT, transfer.SUB_END]).map(
+        transfer._app_frame),
+    st.binary(max_size=16),  # any sub-type byte and payload, or an empty frame
+)
+
+
+class TestReceiverFuzz:
+    """Whatever a confirmed peer sends before it closes, the receiver ends cleanly."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(frames=st.lists(_app_frames, max_size=6), accept=st.booleans())
+    def test_any_frame_sequence_ends_in_an_outcome(self, frames, accept):
+        fx = _ChannelFixture()
+
+        async def decide(manifest):
+            return accept
+
+        async def main(dest):
+            chan_s, chan_r = await fx.channels()
+            rt = spawn(receive_file(chan_r, decide, dest))
+            try:
+                for frame in frames:
+                    await chan_s.send(frame)
+                await chan_s.close()
+            except ConnectionLost:
+                pass  # the receiver gave up first
+            return await rt.join()
+
+        with tempfile.TemporaryDirectory() as root:
+            dest = os.path.join(root, "inbox")
+            outcome = fx.kernel.run(main(dest))
+            assert isinstance(outcome, transfer.TransferOutcome)
+            assert _no_partials(dest)
