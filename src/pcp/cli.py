@@ -22,6 +22,7 @@ import tempfile
 
 from . import kernel as ker
 from .errors import PassphraseParseError, PcpError
+from .passphrase import DEFAULT_WORD_COUNT
 from .session import run_receiver, run_sender
 from .simworld import SimWorld
 from .transfer import (
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_send = sub.add_parser("send", help="offer a file and print the passphrase")
     p_send.add_argument("-w", "--word-count", type=int, default=None,
-                        help="number of passphrase words (default 4)")
+                        help=f"number of passphrase words (default {DEFAULT_WORD_COUNT})")
     p_send.add_argument("--sim-config", metavar="F", default=None,
                         help="run on the simulated network described by F")
     p_send.add_argument("file", help="path of the file to send")

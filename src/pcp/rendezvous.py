@@ -9,6 +9,10 @@ time truncated to a slot boundary. The wire-visible id string is
 and the 32-byte content key under which provider records are published is
 the SHA-256 of that string's ASCII bytes. Changing either format breaks
 interoperability.
+
+The slot policy lives here too: a sender publishes under the current
+slot's key, a receiver queries the current and the previous slot, and
+each waits for the next slot boundary before it looks again.
 """
 
 from __future__ import annotations
@@ -26,19 +30,16 @@ CONTENT_KEY_LEN = 32
 
 @dataclass(frozen=True)
 class TimeSlot:
-    """A half-open window [start, start + width) on the unix timeline."""
+    """A half-open window [start, start + SLOT_WIDTH) on the unix timeline."""
 
     start: int
-    width: int = SLOT_WIDTH
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise InvalidArgument("slot width must be positive")
         if self.start < 0:
             raise InvalidArgument("slot start must be non-negative")
-        if self.start % self.width != 0:
+        if self.start % SLOT_WIDTH != 0:
             raise InvalidArgument(
-                f"slot start {self.start} is not a multiple of width {self.width}"
+                f"slot start {self.start} is not a multiple of {SLOT_WIDTH}"
             )
 
 
@@ -52,21 +53,24 @@ class DiscoveryKey:
     content_key: bytes
 
 
-def truncate_to_slot(now: float, width: int = SLOT_WIDTH) -> TimeSlot:
+def truncate_to_slot(now: float) -> TimeSlot:
     """Truncate a unix timestamp down to its slot boundary."""
-    if width <= 0:
-        raise InvalidArgument("slot width must be positive")
     if now < 0:
         raise InvalidArgument("timestamp must be non-negative")
-    start = (int(now) // width) * width
-    return TimeSlot(start=start, width=width)
+    return TimeSlot(start=(int(now) // SLOT_WIDTH) * SLOT_WIDTH)
 
 
 def previous_slot(slot: TimeSlot) -> TimeSlot:
     """The slot immediately before ``slot``; underflow at the epoch is an error."""
-    if slot.start < slot.width:
+    if slot.start < SLOT_WIDTH:
         raise InvalidArgument("no slot before the epoch")
-    return TimeSlot(start=slot.start - slot.width, width=slot.width)
+    return TimeSlot(start=slot.start - SLOT_WIDTH)
+
+
+def next_slot_delay(slot: TimeSlot, now: float) -> float:
+    """Seconds from ``now`` until ``slot`` ends; at least 1 ms, so a loop that
+    waits for the next slot always moves virtual time forward."""
+    return max(slot.start + SLOT_WIDTH - now, 0.001)
 
 
 def discovery_key(channel: int, slot: TimeSlot) -> DiscoveryKey:
@@ -78,3 +82,17 @@ def discovery_key(channel: int, slot: TimeSlot) -> DiscoveryKey:
     return DiscoveryKey(
         channel=channel, slot=slot, id_string=id_string, content_key=content_key
     )
+
+
+def sender_publish_key(channel: int, now: float) -> DiscoveryKey:
+    """The single key a sender publishes under at time ``now``."""
+    return discovery_key(channel, truncate_to_slot(now))
+
+
+def receiver_query_keys(channel: int, now: float) -> list[DiscoveryKey]:
+    """Current slot plus, when it exists, the previous slot."""
+    slot = truncate_to_slot(now)
+    keys = [discovery_key(channel, slot)]
+    if slot.start >= SLOT_WIDTH:
+        keys.append(discovery_key(channel, previous_slot(slot)))
+    return keys

@@ -26,10 +26,17 @@ from typing import Callable
 from . import kernel as ker
 from .auth import ROLE_INITIATOR, ROLE_RESPONDER, PakeSecret, SecureChannel, confirm_key, pake_handshake
 from .discovery import DiscoveryBackend, ProviderStream
-from .errors import BackendUnavailable, DialError, PcpError
+from .errors import BackendUnavailable, DialError, InvalidArgument, PcpError
 from .kernel import Queue, QueueEmpty, WaitTimeout
-from .passphrase import MIN_WORDS, Passphrase, channel_id, generate_passphrase, parse_passphrase
-from .rendezvous import SLOT_WIDTH, DiscoveryKey, discovery_key, previous_slot, truncate_to_slot
+from .passphrase import (
+    DEFAULT_WORD_COUNT,
+    MIN_WORDS,
+    Passphrase,
+    channel_id,
+    generate_passphrase,
+    parse_passphrase,
+)
+from .rendezvous import next_slot_delay, receiver_query_keys, sender_publish_key
 from .simnet import Connection, PeerAddress, SimNode
 from .transfer import (
     STATUS_COMPLETED,
@@ -56,15 +63,14 @@ PHASE_ORDER = (
 )
 PHASE_FAILED = "failed"
 
+HANDSHAKE_TIMEOUT = 30.0  # seconds for the PAKE exchange, and again for key confirmation
+
 
 @dataclass
 class SessionConfig:
     backends: tuple[DiscoveryBackend, ...]
-    word_count: int = 4
+    word_count: int = DEFAULT_WORD_COUNT
     discovery_deadline: float = 120.0
-    handshake_timeout: float = 30.0
-    decision_timeout: float = 60.0
-    chunk_size: int = 65536
     republish_on_rollover: bool = True
 
     def __post_init__(self) -> None:
@@ -72,20 +78,6 @@ class SessionConfig:
             raise ValueError("at least one discovery backend is required")
         if self.word_count < MIN_WORDS:
             raise ValueError(f"word_count must be >= {MIN_WORDS}, got {self.word_count}")
-
-
-def sender_publish_key(channel: int, now: float, width: int = SLOT_WIDTH) -> DiscoveryKey:
-    """The single key a sender publishes under at time ``now``."""
-    return discovery_key(channel, truncate_to_slot(now, width))
-
-
-def receiver_query_keys(channel: int, now: float, width: int = SLOT_WIDTH) -> list[DiscoveryKey]:
-    """Current slot plus, when it exists, the previous slot."""
-    slot = truncate_to_slot(now, width)
-    keys = [discovery_key(channel, slot)]
-    if slot.start >= width:
-        keys.append(discovery_key(channel, previous_slot(slot)))
-    return keys
 
 
 @dataclass
@@ -148,8 +140,7 @@ class _SessionState:
                 late: _Candidate = winners.get_nowait()
             except QueueEmpty:
                 break
-            if self.winner is None or late.chan is not self.winner.chan:
-                late.chan.abort()
+            late.chan.abort()
         if self._cancelled:
             return
         self._cancelled = True
@@ -202,7 +193,6 @@ async def _authenticate(
     secret: PakeSecret,
     role: str,
     rng: random.Random,
-    config: SessionConfig,
     winners: Queue,
     allowed_bindings: set[str] | None = None,
 ) -> None:
@@ -222,9 +212,9 @@ async def _authenticate(
             role,
             rng,
             allowed_bindings=allowed_bindings,
-            timeout=config.handshake_timeout,
+            timeout=HANDSHAKE_TIMEOUT,
         )
-        chan = await confirm_key(conn, keys, transcript, timeout=config.handshake_timeout)
+        chan = await confirm_key(conn, keys, transcript, timeout=HANDSHAKE_TIMEOUT)
     except PcpError as e:
         state.auth_failures += 1
         node.network.trace.emit(
@@ -254,9 +244,9 @@ async def run_sender(
     """Whole sender lifecycle; returns the final transfer outcome."""
     rng = rng or node.kernel.rng("session")
     try:
-        manifest = manifest_for_file(path, config.chunk_size)
-    except OSError as e:
-        logger.error("cannot read %s: %s", path, e)
+        manifest = manifest_for_file(path)
+    except (OSError, InvalidArgument) as e:  # unreadable, or a name the manifest cannot carry
+        logger.error("cannot send %s: %s", path, e)
         return TransferOutcome(STATUS_FAILED, reason="io")
 
     words = passphrase or generate_passphrase(config.word_count, rng)
@@ -292,14 +282,13 @@ async def run_sender(
                         logger.warning("publish failed on one backend: %s", e)
             if not config.republish_on_rollover:
                 return
-            boundary = key.slot.start + SLOT_WIDTH
-            await ker.sleep(max(boundary - kernel.now(), 0.001))
+            await ker.sleep(next_slot_delay(key.slot, kernel.now()))
 
     async def acceptor() -> None:
         secret = PakeSecret(secret_bytes, "")
         while True:
             conn = await node.accept()
-            auth = _authenticate(state, conn, secret, ROLE_RESPONDER, rng, config, winners, published)
+            auth = _authenticate(state, conn, secret, ROLE_RESPONDER, rng, winners, published)
             state.track(kernel.spawn(auth, name="sender-candidate"))
 
     state.track(kernel.spawn(publisher(), name="sender-publish"))
@@ -359,7 +348,7 @@ async def run_receiver(
         except DialError:
             return  # simnet already traced the failed dial
         await _authenticate(
-            state, conn, PakeSecret(secret_bytes, binding), ROLE_INITIATOR, rng, config, winners
+            state, conn, PakeSecret(secret_bytes, binding), ROLE_INITIATOR, rng, winners
         )
 
     async def pump(stream: ProviderStream, binding: str) -> None:
@@ -378,7 +367,8 @@ async def run_receiver(
             remaining = deadline_at - kernel.now()
             if remaining <= 0:
                 return
-            for key in receiver_query_keys(channel, kernel.now()):
+            keys = receiver_query_keys(channel, kernel.now())
+            for key in keys:
                 if key.id_string in started:
                     continue
                 started.add(key.id_string)
@@ -388,9 +378,7 @@ async def run_receiver(
                     except BackendUnavailable:
                         continue
                     state.track(kernel.spawn(pump(stream, key.id_string), name="pump"))
-            slot = truncate_to_slot(kernel.now())
-            boundary = slot.start + SLOT_WIDTH
-            await ker.sleep(max(boundary - kernel.now(), 0.001))
+            await ker.sleep(next_slot_delay(keys[0].slot, kernel.now()))
 
     state.track(kernel.spawn(querier(), name="receiver-query"))
     try:
@@ -410,13 +398,7 @@ async def run_receiver(
                 state.advance("transferring")
             return accepted
 
-        outcome = await receive_file(
-            winner.chan,
-            deciding,
-            dest_dir,
-            decision_timeout=config.decision_timeout,
-            progress=progress,
-        )
+        outcome = await receive_file(winner.chan, deciding, dest_dir, progress=progress)
         return state.finish(outcome)
     finally:
         state.cancel_losers(winners)

@@ -26,10 +26,9 @@ DEFAULT_WAN_LATENCY = (0.02, 0.08)
 
 @dataclass(frozen=True)
 class PeerAddress:
-    """Opaque node identity (random 16-byte id, hex) plus a transport hint."""
+    """Opaque node identity: a random 16-byte id, hex."""
 
     peer_id: str
-    endpoint: str
 
     def short(self) -> str:
         return self.peer_id[:8]
@@ -86,7 +85,6 @@ class SimulatedNetwork:
         self._rng_latency = kernel.rng("net.latency")
         self._rng_ids = kernel.rng("net.ids")
         self._rng_loss = kernel.rng("net.loss")
-        self._node_seq = 0
         self._conn_seq = 0
         if wan:
             self.create_link(WAN_LINK, latency=wan_latency)
@@ -117,9 +115,8 @@ class SimulatedNetwork:
             self.link(link_id)  # validate before mutating anything
         if WAN_LINK in self._links and WAN_LINK not in memberships:
             memberships.append(WAN_LINK)
-        self._node_seq += 1
         peer_id = self._rng_ids.getrandbits(128).to_bytes(16, "big").hex()
-        address = PeerAddress(peer_id=peer_id, endpoint=f"sim:{self._node_seq}")
+        address = PeerAddress(peer_id=peer_id)
         node = SimNode(self, address, tuple(memberships))
         self._nodes[peer_id] = node
         for link_id in memberships:

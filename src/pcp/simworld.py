@@ -3,7 +3,7 @@
 A sim config is a small JSON document describing the world a command or
 scenario runs in: the seed, the virtual start time, link topology and
 latencies (milliseconds in the file, seconds internally), which discovery
-backends exist, and session timing defaults. Example:
+backends exist, and the discovery deadline. Example:
 
     {
       "seed": 7,
@@ -62,12 +62,7 @@ class SimConfig:
     dht: dict | None = field(default_factory=dict)
     mdns: dict | None = field(default_factory=dict)
     node_links: list[str] = field(default_factory=list)
-    word_count: int = 4
-    discovery_deadline: float = 120.0
-    handshake_timeout: float = 30.0
-    decision_timeout: float = 60.0
-    chunk_size: int = 65536
-    republish_on_rollover: bool = True
+    discovery_deadline: float = SessionConfig.discovery_deadline
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
@@ -123,14 +118,6 @@ class SimWorld:
         return self.network.spawn_node(memberships)
 
     def session_config(self, **overrides) -> SessionConfig:
-        base = dict(
-            backends=tuple(self.backends),
-            word_count=self.config.word_count,
-            discovery_deadline=self.config.discovery_deadline,
-            handshake_timeout=self.config.handshake_timeout,
-            decision_timeout=self.config.decision_timeout,
-            chunk_size=self.config.chunk_size,
-            republish_on_rollover=self.config.republish_on_rollover,
-        )
+        base = dict(backends=tuple(self.backends), discovery_deadline=self.config.discovery_deadline)
         base.update(overrides)
         return SessionConfig(**base)

@@ -19,15 +19,21 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture
-def bench(monkeypatch):
-    """perfbench's tracing module and the pcp modules its run.py hands it."""
+def bench_run(monkeypatch):
+    """perfbench's run.py, loaded as a module."""
     monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its siblings by name
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, run)  # dataclasses look their module up
     spec.loader.exec_module(run)
-    pcp = {name: importlib.import_module(f"pcp.{name}") for name in run.PCP_MODULES}
-    return sys.modules[run.Tracer.__module__], pcp
+    return run
+
+
+@pytest.fixture
+def bench(bench_run):
+    """perfbench's tracing module and the pcp modules its run.py hands it."""
+    pcp = {name: importlib.import_module(f"pcp.{name}") for name in bench_run.PCP_MODULES}
+    return sys.modules[bench_run.Tracer.__module__], pcp
 
 
 def test_every_wrapped_name_is_defined_where_the_tracer_looks(bench):
@@ -57,6 +63,18 @@ def test_uninstall_restores_every_patched_attribute(bench):
         now = vars(owner)
         for attr, value in snapshot.items():
             assert now[attr] is value, f"{getattr(owner, '__name__', owner)}.{attr}"
+
+
+def test_every_workload_world_builds_a_session_config(bench_run, bench, tmp_path):
+    # perfbench spells out its SimConfig fields; a field removed from
+    # SimConfig would otherwise break only a benchmark run
+    run, (_, pcp) = bench_run, bench
+    for workload in run.WORKLOADS.values():
+        spec = run.Plan(pcp, workload, 1, tmp_path).unit(0, write_files=False)
+        world, nodes = run.build_world(pcp, workload, spec)
+        config = world.session_config()
+        assert len(nodes) == workload.pairs
+        assert config.backends == tuple(world.backends)
 
 
 def test_traced_session_records_every_layer(bench, tmp_path):

@@ -47,6 +47,20 @@ class TestUsage:
         assert rc == 6
         assert "definitely-missing.bin" in out.getvalue()
 
+    def test_non_utf8_file_name_exits_io(self, sim_config_path, tmp_path):
+        # a Linux file name may hold bytes that no manifest can carry as UTF-8
+        raw = os.path.join(os.fsencode(tmp_path), b"\xff.bin")
+        try:
+            with open(raw, "wb") as f:
+                f.write(b"hello")
+        except OSError:
+            pytest.skip("filesystem refuses non-UTF-8 names")
+        out = io.StringIO()
+        rc = main(["send", "--sim-config", sim_config_path, os.fsdecode(raw)], out=out)
+        assert rc == 6
+        assert "transfer failed (io)" in out.getvalue()
+        assert CODE_PREFIX not in out.getvalue()
+
     def test_bad_passphrase_word_is_usage_error(self, sim_config_path, tmp_path):
         out = io.StringIO()
         rc = main(
@@ -352,9 +366,23 @@ class TestSimConfig:
         with pytest.raises(Exception):
             SimWorld(SimConfig.from_dict({"dht": None, "mdns": None}))
 
-    def test_unknown_fields_rejected(self):
-        with pytest.raises(Exception):
-            SimConfig.from_dict({"bogus": 1})
+    def test_unknown_fields_rejected(self, tmp_path):
+        # session settings that are constants in pcp, not sim config fields
+        dropped = {
+            "word_count": 6,
+            "handshake_timeout": 10,
+            "decision_timeout": 10,
+            "chunk_size": 4096,
+            "republish_on_rollover": False,
+        }
+        for name, value in {"bogus": 1, **dropped}.items():
+            with pytest.raises(InvalidArgument):
+                SimConfig.from_dict({name: value})
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({name: value}))
+            out = io.StringIO()
+            assert main(["simulate", "--sim-config", str(path)], out=out) == 2, name
+            assert "unknown sim config fields" in out.getvalue()
 
     def test_scalar_latency_accepted(self):
         cfg = SimConfig.from_dict({"links": {"lan0": {"latency_ms": 5}}})

@@ -3,13 +3,8 @@ import random
 
 from pcp.kernel import sleep, spawn
 from pcp.passphrase import Passphrase, generate_passphrase
-from pcp.session import (
-    PHASE_ORDER,
-    receiver_query_keys,
-    run_receiver,
-    run_sender,
-    sender_publish_key,
-)
+from pcp.rendezvous import receiver_query_keys, sender_publish_key
+from pcp.session import PHASE_ORDER, run_receiver, run_sender
 
 from conftest import accept_all, build_world, reject_all, run_pair
 
@@ -331,16 +326,16 @@ class TestSlotHelpers:
             SessionConfig(backends=())
 
     def test_sender_key_is_current_slot(self):
-        key = sender_publish_key(5, 1_700_000_123, 300)
+        key = sender_publish_key(5, 1_700_000_123)
         assert key.id_string == "/pcp/1700000100/5"
 
     def test_receiver_queries_current_and_previous(self):
-        keys = receiver_query_keys(5, 1_700_000_123, 300)
+        keys = receiver_query_keys(5, 1_700_000_123)
         assert [k.id_string for k in keys] == [
             "/pcp/1700000100/5",
             "/pcp/1699999800/5",
         ]
 
     def test_receiver_near_epoch_has_single_key(self):
-        keys = receiver_query_keys(9, 120, 300)
+        keys = receiver_query_keys(9, 120)
         assert [k.id_string for k in keys] == ["/pcp/0/9"]
