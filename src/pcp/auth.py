@@ -41,6 +41,15 @@ CONFIRM_LABEL = {ROLE_INITIATOR: b"confirm/initiator", ROLE_RESPONDER: b"confirm
 
 MAX_BINDING_LEN = 512
 _NONCE_LIMIT = 2**64
+_TAG_LEN = 16  # Poly1305
+# the largest message the transfer layer seals: a sub-type byte, an 8-byte
+# offset and one 8 MiB chunk
+MAX_PLAINTEXT = 1 + 8 + 8 * 1024 * 1024
+
+# per-type payload bounds, checked on each frame header before its payload is read
+_MAX_MSG1 = 2 + MAX_BINDING_LEN + ELEMENT_LEN
+_CONFIRM_TAG_LEN = hashlib.sha256().digest_size
+_MAX_SEALED = MAX_PLAINTEXT + _TAG_LEN
 
 
 @dataclass(frozen=True)
@@ -88,7 +97,10 @@ def _decode_msg1(payload: bytes) -> tuple[str, bytes]:
     blen = int.from_bytes(payload[:2], "big")
     if blen == 0 or blen > MAX_BINDING_LEN or len(payload) != 2 + blen + ELEMENT_LEN:
         raise ProtocolError("malformed key-exchange message")
-    binding = payload[2 : 2 + blen].decode("utf-8", errors="strict")
+    try:
+        binding = str(payload[2 : 2 + blen], "utf-8")
+    except UnicodeDecodeError:
+        raise ProtocolError("session binding is not UTF-8") from None
     return binding, payload[2 + blen :]
 
 
@@ -114,11 +126,12 @@ async def _initiate(
         framing.TYPE_PAKE_MSG_1, _encode_msg1(secret.session_binding, party.message())
     )
     await conn.send(msg1)
-    payload, msg2_raw = await framing.expect_frame(conn, framing.TYPE_PAKE_MSG_2)
+    payload = await framing.expect_frame(conn, framing.TYPE_PAKE_MSG_2, ELEMENT_LEN)
     if len(payload) != ELEMENT_LEN:
         raise ProtocolError("malformed key-exchange reply")
     master = party.derive(payload)
-    return derive_session_keys(master, ROLE_INITIATOR), msg1 + msg2_raw, secret.session_binding
+    transcript = msg1 + framing.pack_frame(framing.TYPE_PAKE_MSG_2, payload)
+    return derive_session_keys(master, ROLE_INITIATOR), transcript, secret.session_binding
 
 
 async def _respond(
@@ -127,7 +140,7 @@ async def _respond(
     rng: random.Random,
     allowed_bindings: Collection[str] | None,
 ) -> tuple[SessionKeys, bytes, str]:
-    payload, msg1_raw = await framing.expect_frame(conn, framing.TYPE_PAKE_MSG_1)
+    payload = await framing.expect_frame(conn, framing.TYPE_PAKE_MSG_1, _MAX_MSG1)
     binding, peer_element = _decode_msg1(payload)
     if allowed_bindings is not None and binding not in allowed_bindings:
         raise ProtocolError(f"peer bound to unknown rendezvous id {binding!r}")
@@ -135,7 +148,8 @@ async def _respond(
     msg2 = framing.pack_frame(framing.TYPE_PAKE_MSG_2, party.message())
     await conn.send(msg2)
     master = party.derive(peer_element)
-    return derive_session_keys(master, ROLE_RESPONDER), msg1_raw + msg2, binding
+    transcript = framing.pack_frame(framing.TYPE_PAKE_MSG_1, payload) + msg2
+    return derive_session_keys(master, ROLE_RESPONDER), transcript, binding
 
 
 async def pake_handshake(
@@ -156,7 +170,11 @@ async def pake_handshake(
     just differ; confirm_key() is where a mismatch surfaces.
 
     Any failure aborts the connection: malformed input raises ProtocolError
-    and deadline expiry raises HandshakeTimeout.
+    and deadline expiry raises HandshakeTimeout. A frame header announcing
+    more than its type allows fails before the payload is read. The
+    transcript holds both frames byte for byte; a received frame is packed
+    again from its payload, which gives the same bytes because a header
+    depends only on the type and the length.
     """
     if role == ROLE_INITIATOR:
         step = _initiate(conn, secret, rng)
@@ -168,7 +186,7 @@ async def pake_handshake(
 async def _confirm(conn: Connection, keys: SessionKeys, transcript: bytes) -> "SecureChannel":
     own = hmac.new(keys.k_confirm, CONFIRM_LABEL[keys.role] + transcript, hashlib.sha256)
     await conn.send(framing.pack_frame(framing.TYPE_CONFIRM_TAG, own.digest()))
-    peer_tag, _ = await framing.expect_frame(conn, framing.TYPE_CONFIRM_TAG)
+    peer_tag = await framing.expect_frame(conn, framing.TYPE_CONFIRM_TAG, _CONFIRM_TAG_LEN)
     other_role = ROLE_RESPONDER if keys.role == ROLE_INITIATOR else ROLE_INITIATOR
     expected = hmac.new(
         keys.k_confirm, CONFIRM_LABEL[other_role] + transcript, hashlib.sha256
@@ -228,20 +246,35 @@ class SecureChannel:
     def _nonce(counter: int) -> bytes:
         return b"\x00\x00\x00\x00" + counter.to_bytes(8, "big")
 
-    def seal(self, plaintext: bytes) -> bytes:
-        """Encrypt one message into a complete wire frame."""
+    def seal(self, plaintext: bytes) -> bytearray:
+        """Encrypt one message into a new, complete wire frame.
+
+        The ciphertext is written straight after the header, and
+        ``plaintext`` is not kept, so the caller may reuse its buffer. A
+        message over ``MAX_PLAINTEXT`` is refused before it spends a nonce.
+        """
         if self.aborted:
             raise DecryptError("channel already aborted")
         if self._send_counter >= _NONCE_LIMIT:
             self.abort()
             raise ChannelExhausted("send counter exhausted; refusing nonce reuse")
-        ct = self._seal.encrypt(self._nonce(self._send_counter), plaintext, self._send_label)
+        if len(plaintext) > MAX_PLAINTEXT:
+            raise ProtocolError(f"message of {len(plaintext)} bytes exceeds the sealing limit")
+        length = len(plaintext) + _TAG_LEN
+        frame = bytearray(framing.HEADER_LEN + length)
+        frame[: framing.HEADER_LEN] = framing.pack_header(framing.TYPE_APP_DATA, length)
+        self._seal.encrypt_into(
+            self._nonce(self._send_counter),
+            plaintext,
+            self._send_label,
+            memoryview(frame)[framing.HEADER_LEN :],
+        )
         self._send_counter += 1
         self.frames_sealed += 1
-        return framing.pack_frame(framing.TYPE_APP_DATA, ct)
+        return frame
 
     def open(self, ciphertext: bytes) -> bytes:
-        """Decrypt one app-data payload; any failure aborts the channel."""
+        """Decrypt one app-data payload (any bytes-like object); any failure aborts the channel."""
         if self.aborted:
             raise DecryptError("channel already aborted")
         if self._recv_counter >= _NONCE_LIMIT:
@@ -262,7 +295,7 @@ class SecureChannel:
     async def recv(self) -> bytes:
         """Receive and open the next app-data frame."""
         try:
-            payload, _ = await framing.expect_frame(self.conn, framing.TYPE_APP_DATA)
+            payload = await framing.expect_frame(self.conn, framing.TYPE_APP_DATA, _MAX_SEALED)
         except ProtocolError:
             self.abort()
             raise

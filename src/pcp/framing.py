@@ -27,16 +27,17 @@ HEADER_LEN = 6
 MAX_PAYLOAD = 16 * 1024 * 1024  # sanity bound, far above any legal frame
 
 
-def pack_frame(frame_type: int, payload: bytes) -> bytes:
+def pack_header(frame_type: int, length: int) -> bytes:
+    """The 6-byte header of a frame whose payload is ``length`` bytes."""
     if frame_type not in _KNOWN_TYPES:
         raise ProtocolError(f"unknown frame type 0x{frame_type:02x}")
-    if len(payload) > MAX_PAYLOAD:
-        raise ProtocolError(f"payload of {len(payload)} bytes exceeds frame limit")
-    return (
-        bytes((PROTOCOL_VERSION, frame_type))
-        + len(payload).to_bytes(4, "big")
-        + payload
-    )
+    if length > MAX_PAYLOAD:
+        raise ProtocolError(f"payload of {length} bytes exceeds frame limit")
+    return bytes((PROTOCOL_VERSION, frame_type)) + length.to_bytes(4, "big")
+
+
+def pack_frame(frame_type: int, payload: bytes) -> bytes:
+    return pack_header(frame_type, len(payload)) + payload
 
 
 def parse_header(header: bytes) -> tuple[int, int]:
@@ -54,19 +55,27 @@ def parse_header(header: bytes) -> tuple[int, int]:
     return frame_type, length
 
 
-async def read_frame(conn: Connection) -> tuple[int, bytes, bytes]:
-    """Read one frame; returns (type, payload, raw frame bytes)."""
+async def read_frame(conn: Connection, max_len: int) -> tuple[int, bytes]:
+    """Read one frame; returns (type, payload).
+
+    The header is checked, its length against ``max_len`` too, before any
+    payload byte is read. The payload is bytes-like: for a frame that
+    arrived whole it is a memoryview of the object the peer sent.
+    """
     header = await conn.recv_exactly(HEADER_LEN)
     frame_type, length = parse_header(header)
-    payload = await conn.recv_exactly(length) if length else b""
-    return frame_type, payload, header + payload
+    if length > max_len:
+        raise ProtocolError(
+            f"frame type 0x{frame_type:02x} of {length} bytes exceeds its {max_len}-byte bound"
+        )
+    return frame_type, await conn.recv_exactly(length)
 
 
-async def expect_frame(conn: Connection, frame_type: int) -> tuple[bytes, bytes]:
-    """Read one frame and require its type; returns (payload, raw bytes)."""
-    got_type, payload, raw = await read_frame(conn)
+async def expect_frame(conn: Connection, frame_type: int, max_len: int) -> bytes:
+    """Read one frame of at most ``max_len`` payload bytes and require its type."""
+    got_type, payload = await read_frame(conn, max_len)
     if got_type != frame_type:
         raise ProtocolError(
             f"expected frame type 0x{frame_type:02x}, got 0x{got_type:02x}"
         )
-    return payload, raw
+    return payload

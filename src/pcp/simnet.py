@@ -13,6 +13,7 @@ kernel's seeded RNG streams, so a seed fully determines every trace.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from . import kernel as ker
@@ -246,10 +247,10 @@ class SimNode:
 class _Stream:
     """One direction of a connection as seen by its reader."""
 
-    __slots__ = ("buffer", "eof", "floor", "activity")
+    __slots__ = ("segments", "eof", "floor", "activity")
 
     def __init__(self) -> None:
-        self.buffer = bytearray()
+        self.segments: deque = deque()  # delivered, unread; a part-read head is a memoryview
         self.eof = False
         self.floor = 0.0  # in-order delivery horizon
         self.activity = ker.Event()
@@ -279,7 +280,10 @@ class _ConnectionCore:
         return d
 
     def deliver(self, inbox: _Stream, payload: bytes | None) -> None:
-        """Queue ``payload`` (None is EOF) for ``inbox``; a drop before arrival discards it."""
+        """Queue ``payload`` (None is EOF) for ``inbox``; a drop before arrival discards it.
+
+        The object itself is delivered, not a copy.
+        """
         deliver_at = max(self.kernel.now() + self.draw_delay(), inbox.floor)
         inbox.floor = deliver_at
 
@@ -288,8 +292,8 @@ class _ConnectionCore:
                 return
             if payload is None:
                 inbox.eof = True
-            else:
-                inbox.buffer.extend(payload)
+            elif payload:
+                inbox.segments.append(payload)
             inbox.wake()
 
         self.kernel.call_at(deliver_at, arrive)
@@ -322,22 +326,34 @@ class Connection:
         return self.peer.local
 
     async def send(self, data: bytes) -> None:
+        """Queue ``data`` for the peer; the connection takes ownership of it.
+
+        No copy is made: the peer's reads return ``data`` itself or views of
+        it, so the caller must not mutate it afterwards.
+        """
         core = self.core
         if core.error is not None:
             raise ConnectionLost(f"connection {core.conn_id} is down: {core.error}")
         if self.send_closed:
             raise ConnectionLost("send on closed connection")
-        core.deliver(self.peer.inbox, bytes(data))
+        core.deliver(self.peer.inbox, data)
 
     async def recv(self, max_bytes: int = 65536) -> bytes:
-        """Next chunk of bytes; b'' on clean EOF; ConnectionLost on drop."""
+        """Next bytes of at most one sent segment; b'' on clean EOF; ConnectionLost on drop.
+
+        A segment that fits in ``max_bytes`` is returned whole, as the object
+        the peer sent or a memoryview of its unread rest. A longer one gives a
+        bytes copy of its first ``max_bytes`` and keeps a view of the rest.
+        """
         stream = self.inbox
         while True:
-            if stream.buffer:
-                n = min(max_bytes, len(stream.buffer))
-                chunk = bytes(stream.buffer[:n])
-                del stream.buffer[:n]
-                return chunk
+            if stream.segments:
+                head = stream.segments[0]
+                if len(head) <= max_bytes:
+                    return stream.segments.popleft()
+                view = memoryview(head)
+                stream.segments[0] = view[max_bytes:]
+                return bytes(view[:max_bytes])
             if self.core.error is not None:
                 raise ConnectionLost(f"connection dropped: {self.core.error}")
             if stream.eof:
@@ -345,14 +361,20 @@ class Connection:
             await stream.activity.wait()
 
     async def recv_exactly(self, n: int) -> bytes:
-        """Exactly n bytes; EOF before n counts as a lost connection."""
-        parts = bytearray()
-        while len(parts) < n:
-            chunk = await self.recv(n - len(parts))
+        """Exactly n bytes; EOF before n counts as a lost connection.
+
+        When one ``recv`` returns them all, that result is returned as it is;
+        only bytes that span segments are joined into a new bytes object.
+        """
+        parts = []
+        missing = n
+        while missing:
+            chunk = await self.recv(missing)
             if not chunk:
                 raise ConnectionLost("stream ended mid-message")
-            parts.extend(chunk)
-        return bytes(parts)
+            parts.append(chunk)
+            missing -= len(chunk)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     async def close(self) -> None:
         """Graceful shutdown of our sending direction (peer sees EOF)."""

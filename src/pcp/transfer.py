@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Awaitable, BinaryIO, Callable
 
-from .auth import SecureChannel
+from .auth import MAX_PLAINTEXT, SecureChannel
 from .errors import InvalidArgument, PcpError, ProtocolError
 from .kernel import WaitTimeout, wait_for
 
@@ -35,8 +35,9 @@ SUB_REJECT = 0x03
 SUB_CHUNK = 0x04
 SUB_END = 0x05
 
+CHUNK_HEADER_LEN = 9  # sub-type byte and 8-byte offset
 DEFAULT_CHUNK_SIZE = 65536
-MAX_CHUNK_SIZE = 8 * 1024 * 1024
+MAX_CHUNK_SIZE = MAX_PLAINTEXT - CHUNK_HEADER_LEN  # 8 MiB
 MAX_NAME_BYTES = 255
 
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -90,7 +91,7 @@ class TransferManifest:
     @classmethod
     def decode(cls, raw: bytes) -> "TransferManifest":
         try:
-            doc = json.loads(raw.decode("utf-8"))
+            doc = json.loads(str(raw, "utf-8"))
         except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, too many digits, too deep
             raise ProtocolError(f"unreadable manifest: {e}") from None
         if not isinstance(doc, dict) or set(doc) != {"chunk", "name", "sha256", "size"}:
@@ -130,10 +131,11 @@ def manifest_for_file(path: str, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Transf
     """Pre-pass over the file: size and whole-body SHA-256."""
     h = hashlib.sha256()
     size = 0
+    block = memoryview(bytearray(1024 * 1024))
     with open(path, "rb") as f:
-        while block := f.read(1024 * 1024):
-            h.update(block)
-            size += len(block)
+        while n := f.readinto(block):
+            h.update(block[:n])
+            size += n
     return TransferManifest(
         name=os.path.basename(path),
         size=size,
@@ -146,10 +148,10 @@ def _app_frame(subtype: int, payload: bytes = b"") -> bytes:
     return bytes((subtype,)) + payload
 
 
-def _split_app_frame(plaintext: bytes) -> tuple[int, bytes]:
+def _split_app_frame(plaintext: bytes) -> tuple[int, memoryview]:
     if not plaintext:
         raise ProtocolError("empty application frame")
-    return plaintext[0], plaintext[1:]
+    return plaintext[0], memoryview(plaintext)[1:]
 
 
 # -- sender side -------------------------------------------------------------
@@ -177,15 +179,18 @@ async def stream_file(
 
     The receiver's clean close is the completion signal: it only closes
     gracefully after its digest check passed and the file is in place.
+
+    Each chunk is read into one reusable buffer behind its sub-type byte and
+    offset; ``seal`` encrypts it into a new frame before the next read.
     """
     sent = 0
+    message = memoryview(bytearray(CHUNK_HEADER_LEN + manifest.chunk_size))
+    message[0] = SUB_CHUNK
     try:
-        while True:
-            block = source.read(manifest.chunk_size)
-            if not block:
-                break
-            await chan.send(_app_frame(SUB_CHUNK, sent.to_bytes(8, "big") + block))
-            sent += len(block)
+        while n := source.readinto(message[CHUNK_HEADER_LEN:]):
+            message[1:CHUNK_HEADER_LEN] = sent.to_bytes(8, "big")
+            await chan.send(message[: CHUNK_HEADER_LEN + n])
+            sent += n
             if progress:
                 progress(sent, manifest.size)
         if sent != manifest.size:

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
-from pcp import auth, framing
+from pcp import auth, framing, transfer
 from pcp.auth import PakeSecret, confirm_key, derive_session_keys, pake_handshake
 from pcp.errors import (
     AuthenticationFailure,
@@ -91,6 +92,82 @@ class TestFramingGoldenVectors:
     def test_oversized_length_rejected(self):
         with pytest.raises(ProtocolError):
             framing.parse_header(bytes.fromhex("0110ffffffff"))
+
+
+def _header(frame_type, length):
+    """A bare frame header, built here from the wire layout rather than by pcp."""
+    return bytes((0x01, frame_type)) + length.to_bytes(4, "big")
+
+
+def _conn_pair(net):
+    """A raw simnet connection pair: (dialer's end, acceptor's end)."""
+
+    async def pair():
+        a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
+        accepted = spawn(b.accept())
+        conn = await a.dial(b.address)
+        return conn, await accepted.join()
+
+    return pair()
+
+
+class TestFrameReading:
+    def test_payload_of_a_frame_sent_whole_is_a_view_of_the_sent_object(self):
+        k, net = make_net()
+
+        async def main():
+            a, b = await _conn_pair(net)
+            frame = bytearray(framing.pack_frame(framing.TYPE_APP_DATA, b"zero-copy"))
+            await a.send(frame)
+            ftype, payload = await framing.read_frame(b, 64)
+            assert ftype == framing.TYPE_APP_DATA
+            assert payload == b"zero-copy"
+            assert isinstance(payload, memoryview) and payload.obj is frame
+
+        k.run(main())
+
+    def test_frame_sent_in_one_byte_pieces_reassembles(self):
+        k, net = make_net()
+        frames = [
+            framing.pack_frame(framing.TYPE_PAKE_MSG_2, bytes(range(40))),
+            framing.pack_frame(framing.TYPE_CONFIRM_TAG, b""),
+            framing.pack_frame(framing.TYPE_APP_DATA, b"tail"),
+        ]
+
+        async def main():
+            a, b = await _conn_pair(net)
+            for byte in b"".join(frames):
+                await a.send(bytes([byte]))
+            assert await framing.expect_frame(b, framing.TYPE_PAKE_MSG_2, 40) == bytes(range(40))
+            assert await framing.expect_frame(b, framing.TYPE_CONFIRM_TAG, 32) == b""
+            assert await framing.expect_frame(b, framing.TYPE_APP_DATA, 4) == b"tail"
+
+        k.run(main())
+
+    @pytest.mark.parametrize("cut", [3, framing.HEADER_LEN + 5])
+    def test_eof_inside_a_frame_is_a_lost_connection(self, cut):
+        k, net = make_net()
+
+        async def main():
+            a, b = await _conn_pair(net)
+            await a.send(framing.pack_frame(framing.TYPE_APP_DATA, b"0123456789")[:cut])
+            await a.close()
+            with pytest.raises(ConnectionLost):
+                await framing.read_frame(b, 64)
+
+        k.run(main())
+
+    def test_length_over_the_bound_fails_on_the_header(self):
+        # only the header is ever sent: waiting for the payload would deadlock
+        k, net = make_net()
+
+        async def main():
+            a, b = await _conn_pair(net)
+            await a.send(_header(framing.TYPE_CONFIRM_TAG, 33))
+            with pytest.raises(ProtocolError, match="bound"):
+                await framing.expect_frame(b, framing.TYPE_CONFIRM_TAG, 32)
+
+        k.run(main())
 
 
 class TestPakeCore:
@@ -237,6 +314,81 @@ class TestHandshakeOverSimnet:
 
         k.run(main())
 
+    @pytest.mark.parametrize("announced", [2 + auth.MAX_BINDING_LEN + ELEMENT_LEN + 1,
+                                           framing.MAX_PAYLOAD])
+    def test_oversize_msg1_header_refused_before_its_payload(self, announced):
+        k, net = make_net()
+
+        async def main():
+            a, b = await _conn_pair(net)
+            await a.send(_header(framing.TYPE_PAKE_MSG_1, announced))
+            t0 = k.now()
+            with pytest.raises(ProtocolError):
+                await pake_handshake(
+                    b, PakeSecret(b"pw-pw", ""), auth.ROLE_RESPONDER, k.rng("crypto"),
+                    allowed_bindings=None, timeout=5.0,
+                )
+            assert k.now() - t0 < 0.01  # the header's one-way delay, not the timeout
+            with pytest.raises(ConnectionLost):
+                await a.recv()  # aborted
+
+        k.run(main())
+
+    def test_oversize_msg2_header_refused_before_its_payload(self):
+        k, net = make_net()
+
+        async def main():
+            a, b = await _conn_pair(net)
+            await b.send(_header(framing.TYPE_PAKE_MSG_2, ELEMENT_LEN + 1))
+            with pytest.raises(ProtocolError):
+                await pake_handshake(
+                    a, PakeSecret(b"pw-pw", BINDING), auth.ROLE_INITIATOR, k.rng("crypto"),
+                    timeout=5.0,
+                )
+            with pytest.raises(ConnectionLost):
+                await b.recv_exactly(1 << 20)  # msg1, then the abort
+
+        k.run(main())
+
+    def test_oversize_confirm_header_refused_before_its_payload(self):
+        k, net = make_net()
+
+        async def main():
+            a, b = await _conn_pair(net)
+
+            async def responder():
+                await pake_handshake(
+                    b, PakeSecret(b"pw-pw", ""), auth.ROLE_RESPONDER, k.rng("crypto")
+                )
+                await b.send(_header(framing.TYPE_CONFIRM_TAG, 33))
+
+            resp = spawn(responder())
+            keys, transcript, _ = await pake_handshake(
+                a, PakeSecret(b"pw-pw", BINDING), auth.ROLE_INITIATOR, k.rng("crypto")
+            )
+            await resp.join()
+            with pytest.raises(ProtocolError):
+                await confirm_key(a, keys, transcript, timeout=5.0)
+
+        k.run(main())
+
+    def test_binding_that_is_not_utf8_is_a_protocol_error(self):
+        k, net = make_net()
+        element = PakeParty(b"pw-pw", auth.ROLE_INITIATOR, "x", random.Random(1)).message()
+        msg1 = (1).to_bytes(2, "big") + b"\xff" + element
+
+        async def main():
+            a, b = await _conn_pair(net)
+            await a.send(framing.pack_frame(framing.TYPE_PAKE_MSG_1, msg1))
+            with pytest.raises(ProtocolError):
+                await pake_handshake(
+                    b, PakeSecret(b"pw-pw", ""), auth.ROLE_RESPONDER, k.rng("crypto")
+                )
+            with pytest.raises(ConnectionLost):
+                await a.recv()
+
+        k.run(main())
+
     @pytest.mark.parametrize("plan", [
         TamperPlan(direction="fwd", frame_index=0, byte_index=100),  # pake msg 1
         TamperPlan(direction="rev", frame_index=0, byte_index=50),   # pake msg 2
@@ -310,6 +462,48 @@ class TestSecureChannel:
             assert await chan_r.recv() == b"attack at dawn"
             await chan_r.send(b"ack")
             assert await chan_i.recv() == b"ack"
+
+        k.run(main())
+
+    def test_seal_is_the_aead_of_the_plaintext_in_an_app_data_frame(self):
+        _, chan_i, _ = self._channel_pair()
+        plaintext = random.Random(2).randbytes(1000)
+        expected = framing.pack_frame(
+            framing.TYPE_APP_DATA,
+            ChaCha20Poly1305(chan_i.keys.k_send).encrypt(
+                bytes(12), plaintext, auth.LABEL_SEND_INITIATOR
+            ),
+        )
+        assert chan_i.seal(plaintext) == expected
+
+    def test_reusing_the_plaintext_buffer_leaves_the_frame_unchanged(self):
+        k, chan_i, chan_r = self._channel_pair()
+        buffer = bytearray(b"first message")
+        frame = chan_i.seal(memoryview(buffer))
+        snapshot = bytes(frame)
+        buffer[:] = b"second buffer"
+        assert frame == snapshot
+        assert chan_r.open(memoryview(frame)[framing.HEADER_LEN:]) == b"first message"
+
+    def test_oversize_message_refused_without_spending_a_nonce(self):
+        k, chan_i, chan_r = self._channel_pair()
+        with pytest.raises(ProtocolError):
+            chan_i.seal(bytes(framing.MAX_PAYLOAD))
+        assert chan_i._send_counter == 0 and not chan_i.aborted
+        frame = chan_i.seal(b"next")
+        assert chan_r.open(frame[framing.HEADER_LEN:]) == b"next"
+
+    def test_oversize_app_data_header_refused_before_its_payload(self):
+        k, chan_i, chan_r = self._channel_pair()
+
+        async def main():
+            limit = 1 + 8 + transfer.MAX_CHUNK_SIZE + 16  # sub-type, offset, chunk, tag
+            await chan_i.conn.send(_header(framing.TYPE_APP_DATA, limit + 1))
+            with pytest.raises(ProtocolError):
+                await chan_r.recv()
+            assert chan_r.aborted
+            with pytest.raises(ConnectionLost):
+                await chan_i.conn.recv()
 
         k.run(main())
 

@@ -484,3 +484,34 @@ class TestReceiverFuzz:
             outcome = fx.kernel.run(main(dest))
             assert isinstance(outcome, transfer.TransferOutcome)
             assert _no_partials(dest)
+
+
+class TestSenderFuzz:
+    """Whatever a confirmed receiver answers to the manifest, the sender ends cleanly."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(frames=st.lists(_app_frames, max_size=6))
+    def test_any_reply_sequence_ends_in_an_outcome(self, frames):
+        fx = _ChannelFixture()
+
+        async def main(src):
+            chan_s, chan_r = await fx.channels()
+            st_ = spawn(send_file(chan_s, src))
+            try:
+                await chan_r.recv()  # the manifest
+                for frame in frames:
+                    await chan_r.send(frame)
+                await chan_r.close()
+            except ConnectionLost:
+                pass  # the sender gave up first
+            return await st_.join(), chan_s
+
+        with tempfile.TemporaryDirectory() as root:
+            src = os.path.join(root, "src.bin")
+            with open(src, "wb") as f:
+                f.write(random.Random(len(frames)).randbytes(3 * 65536 + 5))
+            outcome, chan_s = fx.kernel.run(main(src))
+        assert isinstance(outcome, transfer.TransferOutcome)
+        if not frames or frames[0][:1] != bytes([transfer.SUB_ACCEPT]):
+            assert outcome.status != "completed"
+            assert chan_s.frames_sealed == 1  # the manifest only: no body without an accept
