@@ -31,7 +31,7 @@ from .errors import (
     ProtocolError,
 )
 from .kernel import Cancelled, WaitTimeout, wait_for
-from .pake import ELEMENT_LEN, ROLE_INITIATOR, ROLE_RESPONDER, PakeParty
+from .pake import ELEMENT_LEN, ROLE_INITIATOR, ROLE_RESPONDER, PakeParty, PakePassword
 from .simnet import Connection
 
 LABEL_SEND_INITIATOR = b"pcp/send/initiator"
@@ -54,9 +54,13 @@ _MAX_SEALED = MAX_PLAINTEXT + _TAG_LEN
 
 @dataclass(frozen=True)
 class PakeSecret:
-    """The exchange inputs: canonical passphrase bytes plus session identity."""
+    """The exchange inputs: the password plus session identity.
 
-    passphrase_bytes: bytes
+    ``password`` is the canonical passphrase bytes, or a PakePassword that
+    the session shares across all of its handshakes.
+    """
+
+    password: bytes | PakePassword
     session_binding: str
 
 
@@ -121,7 +125,7 @@ async def _guarded(conn: Connection, step: Coroutine, timeout: float | None, wha
 async def _initiate(
     conn: Connection, secret: PakeSecret, rng: random.Random
 ) -> tuple[SessionKeys, bytes, str]:
-    party = PakeParty(secret.passphrase_bytes, ROLE_INITIATOR, secret.session_binding, rng)
+    party = PakeParty(secret.password, ROLE_INITIATOR, secret.session_binding, rng)
     msg1 = framing.pack_frame(
         framing.TYPE_PAKE_MSG_1, _encode_msg1(secret.session_binding, party.message())
     )
@@ -136,7 +140,7 @@ async def _initiate(
 
 async def _respond(
     conn: Connection,
-    passphrase_bytes: bytes,
+    password: bytes | PakePassword,
     rng: random.Random,
     allowed_bindings: Collection[str] | None,
 ) -> tuple[SessionKeys, bytes, str]:
@@ -144,7 +148,7 @@ async def _respond(
     binding, peer_element = _decode_msg1(payload)
     if allowed_bindings is not None and binding not in allowed_bindings:
         raise ProtocolError(f"peer bound to unknown rendezvous id {binding!r}")
-    party = PakeParty(passphrase_bytes, ROLE_RESPONDER, binding, rng)
+    party = PakeParty(password, ROLE_RESPONDER, binding, rng)
     msg2 = framing.pack_frame(framing.TYPE_PAKE_MSG_2, party.message())
     await conn.send(msg2)
     master = party.derive(peer_element)
@@ -179,7 +183,7 @@ async def pake_handshake(
     if role == ROLE_INITIATOR:
         step = _initiate(conn, secret, rng)
     else:
-        step = _respond(conn, secret.passphrase_bytes, rng, allowed_bindings)
+        step = _respond(conn, secret.password, rng, allowed_bindings)
     return await _guarded(conn, step, timeout, "key exchange")
 
 

@@ -16,6 +16,15 @@ Exponentiations with a fixed base (G, M, N) use a Lim-Lee comb over
 tables built at import; the two with a peer-chosen base (the subgroup
 check and the shared secret) use gmpy2 when installed, otherwise the
 built-in pow.
+
+Two of each side's three fixed-base exponentiations depend on the password
+alone: its own blinding term blind**w and the peer's unblinding term
+peer_blind**(q - w). A PakePassword computes each once, on first use, and
+every party built from it shares them, so a session that runs many
+handshakes (a sender taking several dialers, a receiver dialing several
+candidates) pays them once. They live only as long as that object, which
+a session owns; nothing is cached at module level, and a party built from
+plain bytes gets a fresh PakePassword that shares nothing.
 """
 
 from __future__ import annotations
@@ -182,26 +191,59 @@ def decode_element(raw: bytes) -> int:
     return value
 
 
+_BLIND = {ROLE_INITIATOR: _M, ROLE_RESPONDER: _N}
+_PEER_BLIND = {ROLE_INITIATOR: _N, ROLE_RESPONDER: _M}
+
+
+class PakePassword:
+    """The password-only values of the exchange, shared by one session's parties.
+
+    Holds the password scalar w. blind(role) is blind**w for the role's own
+    blinding element and unblind(role) is peer_blind**(q - w); each is
+    computed on first use and kept for this object's lifetime.
+    """
+
+    def __init__(self, password: bytes):
+        self._w = _password_scalar(password)
+        self._powers: dict[tuple[int, int], int] = {}
+
+    def _power(self, base: int, exp: int) -> int:
+        key = (base, exp)
+        if key not in self._powers:
+            self._powers[key] = _fixed_pow(base, exp)
+        return self._powers[key]
+
+    def blind(self, role: str) -> int:
+        return self._power(_BLIND[role], self._w)
+
+    def unblind(self, role: str) -> int:
+        return self._power(_PEER_BLIND[role], (_Q - self._w) % _Q)
+
+
 class PakeParty:
-    """One side of the exchange. Use message() then derive(peer_message)."""
+    """One side of the exchange. Use message() then derive(peer_message).
+
+    ``password`` is the passphrase bytes or a session's PakePassword; bytes
+    are wrapped in a fresh PakePassword of this party's own.
+    """
 
     def __init__(
         self,
-        password: bytes,
+        password: bytes | PakePassword,
         role: str,
         session_binding: str,
         rng: random.Random,
     ):
         if role not in (ROLE_INITIATOR, ROLE_RESPONDER):
             raise InvalidArgument(f"bad role {role!r}")
+        if not isinstance(password, PakePassword):
+            password = PakePassword(password)
         self.role = role
         self.session_binding = session_binding
-        self._w = _password_scalar(password)
+        self._password = password
         self._x = rng.randrange(1, _Q)
-        self._blind = _M if role == ROLE_INITIATOR else _N
-        self._peer_blind = _N if role == ROLE_INITIATOR else _M
         share = _fixed_pow(_G, self._x)
-        self._element = share * _fixed_pow(self._blind, self._w) % _P
+        self._element = share * password.blind(role) % _P
         self._message = encode_element(self._element)
 
     def message(self) -> bytes:
@@ -211,7 +253,7 @@ class PakeParty:
     def derive(self, peer_message: bytes) -> bytes:
         """Unblind the peer's share and hash the transcript to a 32-byte master."""
         peer_element = decode_element(peer_message)
-        unblind = _fixed_pow(self._peer_blind, (_Q - self._w) % _Q)
+        unblind = self._password.unblind(self.role)
         shared = _pow(peer_element * unblind % _P, self._x, _P)
         if self.role == ROLE_INITIATOR:
             msg_x, msg_y = self._message, peer_message
@@ -224,7 +266,7 @@ class PakeParty:
             msg_x,
             msg_y,
             encode_element(shared),
-            self._w.to_bytes(32, "big"),
+            self._password._w.to_bytes(32, "big"),
         ):
             h.update(len(part).to_bytes(8, "big"))
             h.update(part)

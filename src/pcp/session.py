@@ -14,6 +14,9 @@ discovery deadline.
 
 At most one channel per session ever reaches the transfer stage; ties
 inside one virtual tick break deterministically on lexicographic peer id.
+
+Each session builds one PakePassword from its words, and every handshake it
+runs shares it, so the password-only exponentiations run once per session.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .auth import ROLE_INITIATOR, ROLE_RESPONDER, PakeSecret, SecureChannel, con
 from .discovery import DiscoveryBackend, ProviderStream
 from .errors import BackendUnavailable, DialError, InvalidArgument, PcpError
 from .kernel import Queue, QueueEmpty, WaitTimeout
+from .pake import PakePassword
 from .passphrase import (
     DEFAULT_WORD_COUNT,
     MIN_WORDS,
@@ -253,7 +257,7 @@ async def run_sender(
     if on_code:
         on_code(words.render())
     channel = channel_id(words)
-    secret_bytes = words.secret_bytes()
+    password = PakePassword(words.secret_bytes())
 
     kernel = node.kernel
     state = _SessionState(node, ROLE_SENDER)
@@ -285,7 +289,7 @@ async def run_sender(
             await ker.sleep(next_slot_delay(key.slot, kernel.now()))
 
     async def acceptor() -> None:
-        secret = PakeSecret(secret_bytes, "")
+        secret = PakeSecret(password, "")
         while True:
             conn = await node.accept()
             auth = _authenticate(state, conn, secret, ROLE_RESPONDER, rng, winners, published)
@@ -331,7 +335,7 @@ async def run_receiver(
     rng = rng or node.kernel.rng("session")
     words = parse_passphrase(passphrase_text)
     channel = channel_id(words)
-    secret_bytes = words.secret_bytes()
+    password = PakePassword(words.secret_bytes())
 
     kernel = node.kernel
     state = _SessionState(node, ROLE_RECEIVER)
@@ -348,7 +352,7 @@ async def run_receiver(
         except DialError:
             return  # simnet already traced the failed dial
         await _authenticate(
-            state, conn, PakeSecret(secret_bytes, binding), ROLE_INITIATOR, rng, winners
+            state, conn, PakeSecret(password, binding), ROLE_INITIATOR, rng, winners
         )
 
     async def pump(stream: ProviderStream, binding: str) -> None:

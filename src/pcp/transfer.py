@@ -128,11 +128,16 @@ class TransferOutcome:
 
 
 def manifest_for_file(path: str, chunk_size: int = DEFAULT_CHUNK_SIZE) -> TransferManifest:
-    """Pre-pass over the file: size and whole-body SHA-256."""
+    """Pre-pass over the file: size and whole-body SHA-256.
+
+    The read buffer is sized to the file, at most 1 MiB and at least one
+    byte, so a small file costs a small buffer and a file that grows after
+    the stat is still read to its end.
+    """
     h = hashlib.sha256()
     size = 0
-    block = memoryview(bytearray(1024 * 1024))
     with open(path, "rb") as f:
+        block = memoryview(bytearray(min(1024 * 1024, max(1, os.fstat(f.fileno()).st_size))))
         while n := f.readinto(block):
             h.update(block[:n])
             size += n

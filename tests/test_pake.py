@@ -33,3 +33,61 @@ def test_pinned_blinding_element_is_its_seed_derivation(name, seed):
     assert element == pake._hash_to_subgroup(seed)
     assert element != 1
     assert pow(element, pake._Q, pake._P) == 1
+
+
+PASSWORD = b"alfa-bravo-charlie-delta"
+BINDING = "/pcp/1700000100/0"
+ROLES = [pake.ROLE_INITIATOR, pake.ROLE_RESPONDER]
+
+
+def _other(role):
+    return pake.ROLE_RESPONDER if role == pake.ROLE_INITIATOR else pake.ROLE_INITIATOR
+
+
+def _count_fixed_pow(monkeypatch):
+    calls = []
+    real = pake._fixed_pow
+
+    def counting(base, exp):
+        calls.append(base)
+        return real(base, exp)
+
+    monkeypatch.setattr(pake, "_fixed_pow", counting)
+    return calls
+
+
+@pytest.mark.parametrize("role", ROLES)
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_party_from_shared_password_matches_party_from_bytes(role, seed):
+    peer = pake.PakeParty(PASSWORD, _other(role), BINDING, random.Random(100 + seed))
+    shared = pake.PakePassword(PASSWORD)
+    # an earlier handshake of the same session has already filled the cache
+    pake.PakeParty(shared, role, BINDING, random.Random(200 + seed)).derive(peer.message())
+    from_bytes = pake.PakeParty(PASSWORD, role, BINDING, random.Random(seed))
+    from_shared = pake.PakeParty(shared, role, BINDING, random.Random(seed))
+    assert from_shared.message() == from_bytes.message()
+    master = from_shared.derive(peer.message())
+    assert master == from_bytes.derive(peer.message())
+    assert master == peer.derive(from_shared.message())
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_shared_password_computes_its_two_values_once(role, monkeypatch):
+    peer_message = pake.PakeParty(PASSWORD, _other(role), BINDING, random.Random(1)).message()
+    calls = _count_fixed_pow(monkeypatch)
+    shared = pake.PakePassword(PASSWORD)
+    rng = random.Random(2)
+    parties = [pake.PakeParty(shared, role, BINDING, rng) for _ in range(3)]
+    for party in parties:
+        party.derive(peer_message)
+    assert len(calls) == 3 + 2
+    assert calls.count(pake._G) == 3
+
+
+def test_parties_from_the_same_bytes_share_nothing(monkeypatch):
+    calls = _count_fixed_pow(monkeypatch)
+    rng = random.Random(3)
+    pake.PakeParty(PASSWORD, pake.ROLE_RESPONDER, BINDING, rng)
+    assert len(calls) == 2
+    pake.PakeParty(PASSWORD, pake.ROLE_RESPONDER, BINDING, rng)
+    assert len(calls) == 4

@@ -1,6 +1,7 @@
 import os
 import random
 
+from pcp import pake
 from pcp.kernel import sleep, spawn
 from pcp.passphrase import Passphrase, generate_passphrase
 from pcp.rendezvous import receiver_query_keys, sender_publish_key
@@ -315,6 +316,50 @@ class TestCollisionScenarios:
         dials = [e for e in world.kernel.trace.events
                  if e["event"] == "conn_open" and e["dst"] == late_peer[:8]]
         assert dials == []
+
+    def test_each_session_computes_its_password_values_once(
+        self, payload_file, tmp_path, monkeypatch
+    ):
+        # 3 pairs on one channel word run 8 handshakes (16 parties) for 6
+        # sessions, so some sessions run several with one password
+        parties = []
+        combs = []
+        real_init, real_fixed_pow = pake.PakeParty.__init__, pake._fixed_pow
+
+        def counting_init(self, *args):
+            parties.append(args[1])
+            real_init(self, *args)
+
+        def counting_fixed_pow(base, exp):
+            combs.append((base, exp))
+            return real_fixed_pow(base, exp)
+
+        monkeypatch.setattr(pake.PakeParty, "__init__", counting_init)
+        monkeypatch.setattr(pake, "_fixed_pow", counting_fixed_pow)
+        world = build_world(seed=16)
+        cfg = world.config(discovery_deadline=40)
+        phrases = self._same_channel_passphrases(3, seed=6)
+        srcs = [payload_file(3000 + i, seed=i, name=f"p{i}.bin") for i in range(3)]
+
+        async def main():
+            senders = [world.node() for _ in phrases]
+            receivers = [world.node() for _ in phrases]
+            tasks = [spawn(run_sender(n, cfg, src, passphrase=p))
+                     for n, src, p in zip(senders, srcs, phrases)]
+            await sleep(0.3)
+            tasks += [spawn(run_receiver(n, cfg, p.render(), dest_dir=str(tmp_path / f"d{i}"),
+                                         decide=accept_all))
+                      for i, (n, p) in enumerate(zip(receivers, phrases))]
+            return [await t.join() for t in tasks]
+
+        outcomes = world.kernel.run(main())
+        assert [o.status for o in outcomes] == ["completed"] * 6
+        password_values = [c for c in combs if c[0] != pake._G]
+        # no password value is computed twice: each of the 6 sessions uses
+        # at most its own blinding and unblinding term
+        assert len(set(password_values)) == len(password_values) <= 2 * 6
+        assert len(combs) == len(parties) + len(password_values)
+        assert (len(parties), len(password_values), len(combs)) == (16, 12, 28)
 
 
 class TestSlotHelpers:

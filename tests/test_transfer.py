@@ -3,6 +3,7 @@ import json
 import os
 import random
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,38 @@ class TestManifest:
         assert m.sha256_hex == hashlib.sha256(payload).hexdigest()
         assert m.name == "data.bin"
         assert m.chunk_size == 4096
+
+    def test_small_file_is_hashed_with_a_small_buffer(self, tmp_path):
+        p = tmp_path / "small.bin"
+        p.write_bytes(random.Random(6).randbytes(4096))
+        tracemalloc.start()
+        try:
+            manifest_for_file(str(p))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("initial", [0, 4096])
+    def test_file_appended_to_while_hashed_is_read_to_its_end(
+        self, tmp_path, monkeypatch, initial
+    ):
+        p = tmp_path / "growing.bin"
+        head = random.Random(7).randbytes(initial)
+        tail = random.Random(8).randbytes(3 * 4096 + 7)
+        p.write_bytes(head)
+        real_fstat = os.fstat
+
+        def fstat_then_grow(fd):
+            st = real_fstat(fd)
+            with open(p, "ab") as g:
+                g.write(tail)
+            return st
+
+        monkeypatch.setattr(os, "fstat", fstat_then_grow)
+        m = manifest_for_file(str(p))
+        assert m.size == initial + len(tail)
+        assert m.sha256_hex == hashlib.sha256(head + tail).hexdigest()
 
 
 class _ChannelFixture:
