@@ -228,9 +228,12 @@ def _make_decider(args, out):
 
     if sys.stdin.isatty():
         async def prompt(manifest: TransferManifest) -> bool:
-            answer = input(
-                f"Receive '{manifest.name}' ({manifest.size} bytes)? [y/N] "
-            )
+            try:
+                answer = input(
+                    f"Receive '{manifest.name}' ({manifest.size} bytes)? [y/N] "
+                )
+            except EOFError:  # Ctrl-D at the prompt is a no
+                return False
             return answer.strip().lower() in ("y", "yes")
         return prompt
 
@@ -247,35 +250,35 @@ def _make_decider(args, out):
 async def _scenario_transfer(args, world: SimWorld, out) -> int:
     """CLI round trip on one kernel: send's printed code feeds receive."""
     payload = world.kernel.rng("scenario.payload").randbytes(args.size)
-    workdir = tempfile.mkdtemp(prefix="pcp-sim-")
-    src = os.path.join(workdir, "payload.bin")
-    with open(src, "wb") as f:
-        f.write(payload)
-    inbox = os.path.join(workdir, "inbox")
+    with tempfile.TemporaryDirectory(prefix="pcp-sim-") as workdir:
+        src = os.path.join(workdir, "payload.bin")
+        with open(src, "wb") as f:
+            f.write(payload)
+        inbox = os.path.join(workdir, "inbox")
 
-    parser = build_parser()
-    send_out = io.StringIO()
-    send_args = parser.parse_args(["send", "--sim-config", args.sim_config, src])
-    send_task = world.kernel.spawn(send_command(send_args, world, send_out), name="cli-send")
+        parser = build_parser()
+        send_out = io.StringIO()
+        send_args = parser.parse_args(["send", "--sim-config", args.sim_config, src])
+        send_task = world.kernel.spawn(send_command(send_args, world, send_out), name="cli-send")
 
-    code = None
-    for _ in range(10_000):
-        await ker.sleep(0.05)
-        for line in send_out.getvalue().splitlines():
-            if line.startswith(CODE_PREFIX):
-                code = line[len(CODE_PREFIX):].strip()
+        code = None
+        for _ in range(10_000):
+            await ker.sleep(0.05)
+            for line in send_out.getvalue().splitlines():
+                if line.startswith(CODE_PREFIX):
+                    code = line[len(CODE_PREFIX):].strip()
+                    break
+            if code or send_task.finished:
                 break
-        if code or send_task.finished:
-            break
-    if code is None:
-        print("simulate: sender never printed a passphrase", file=out)
-        return EXIT_IO
+        if code is None:
+            print("simulate: sender never printed a passphrase", file=out)
+            return EXIT_IO
 
-    recv_args = parser.parse_args(
-        ["receive", "--yes", "--dir", inbox, "--sim-config", args.sim_config, code]
-    )
-    recv_rc = await receive_command(recv_args, world, out)
-    send_rc = await send_task.join()
+        recv_args = parser.parse_args(
+            ["receive", "--yes", "--dir", inbox, "--sim-config", args.sim_config, code]
+        )
+        recv_rc = await receive_command(recv_args, world, out)
+        send_rc = await send_task.join()
     for line in send_out.getvalue().splitlines():
         print(f"[send] {line}", file=out)
     print(f"simulate: send exit {send_rc}, receive exit {recv_rc}", file=out)

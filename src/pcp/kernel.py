@@ -157,10 +157,9 @@ class Task:
             self._pending_cancel = True
         return True
 
-    async def join(self, timeout: float | None = None) -> Any:
+    async def join(self) -> Any:
         """Wait for completion; re-raises the task's exception, if any."""
-        if not await self.done.wait(timeout):
-            raise WaitTimeout(f"join on {self.name} timed out")
+        await self.done.wait()
         self._observed = True
         if self.exception is not None:
             raise self.exception

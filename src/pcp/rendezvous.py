@@ -25,7 +25,6 @@ from .errors import InvalidArgument
 ID_PREFIX = "/pcp"
 SLOT_WIDTH = 300  # seconds; protocol constant
 CHANNEL_MAX = 2047
-CONTENT_KEY_LEN = 32
 
 
 @dataclass(frozen=True)

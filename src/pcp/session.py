@@ -1,16 +1,17 @@
-"""Session orchestration: the full sender and receiver lifecycles.
+"""Session orchestration: one lifecycle that both roles run through.
 
-Sender: generate and display the words, publish the rendezvous key on
-every configured backend (re-publishing when the slot rolls over), accept
-inbound connections, authenticate each as responder, and hand the first
-confirmed channel to the transfer stage.
+Both roles derive the channel and the password from the words, hunt for
+peers until the discovery deadline, authenticate every connection they find,
+and hand the first channel that passes key confirmation to the transfer
+stage; every other candidate is cancelled promptly. A failed confirmation
+drops only that connection; the hunt continues until the deadline.
 
-Receiver: derive the channel from the words, query every backend for the
-current and previous slots in parallel, dial providers as they stream in,
-authenticate as initiator, and go with the first channel that passes key
-confirmation — every other candidate is cancelled promptly. A failed
-confirmation drops only that connection; the hunt continues until the
-discovery deadline.
+Only the hunt and the transfer stage differ. The sender generates and
+displays the words, publishes the rendezvous key on every configured backend
+(re-publishing when the slot rolls over), accepts inbound connections and
+authenticates each as responder, then sends the file. The receiver queries
+every backend for the current and previous slots in parallel, dials
+providers as they stream in and authenticates as initiator, then receives.
 
 At most one channel per session ever reaches the transfer stage; ties
 inside one virtual tick break deterministically on lexicographic peer id.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Awaitable, Callable
 
 from . import kernel as ker
 from .auth import ROLE_INITIATOR, ROLE_RESPONDER, PakeSecret, SecureChannel, confirm_key, pake_handshake
@@ -92,19 +93,40 @@ class _Candidate:
     confirmed_at: float
 
 
-class _SessionState:
-    """Phase bookkeeping with monotone transitions, mirrored to the trace."""
+class _Session:
+    """One session's lifecycle, the same for both roles.
 
-    def __init__(self, node: SimNode, role: str):
+    Holds the channel, the password every handshake shares, the discovery
+    deadline and the queue of confirmed candidates. Phases only move forward
+    and are mirrored to the trace. A role supplies its hunting tasks, what a
+    missed deadline means, and its transfer stage; ``run`` does the rest.
+    """
+
+    def __init__(
+        self,
+        node: SimNode,
+        role: str,
+        config: SessionConfig,
+        words: Passphrase,
+        rng: random.Random | None = None,
+    ):
         self.node = node
         self.role = role
+        self.rng = rng or node.kernel.rng("session")
+        self.channel = channel_id(words)
+        self.password = PakePassword(words.secret_bytes())
         self.phase = PHASE_ORDER[0]
-        self.winner: _Candidate | None = None
         self.auth_failures = 0
+        self.winners: Queue = Queue()
         self._tasks: list[ker.Task] = []
         self._cancelled = False
-        node.network.trace.emit(
-            "phase", role=role, node=node.address.short(), phase=self.phase
+        self.emit("phase", phase=self.phase)
+        self.deadline_at = node.kernel.now() + config.discovery_deadline
+        self.emit("session_start", channel=self.channel)
+
+    def emit(self, kind: str, **detail) -> None:
+        self.node.network.trace.emit(
+            kind, role=self.role, node=self.node.address.short(), **detail
         )
 
     def advance(self, phase: str, **detail) -> None:
@@ -114,34 +136,106 @@ class _SessionState:
         elif self.phase == PHASE_FAILED:
             return
         self.phase = phase
-        self.node.network.trace.emit(
-            "phase", role=self.role, node=self.node.address.short(), phase=phase, **detail
-        )
+        self.emit("phase", phase=phase, **detail)
 
-    def finish(self, outcome: TransferOutcome) -> TransferOutcome:
-        """Record how the transfer stage ended: the last phase, then ``transfer_done``."""
-        if outcome.status == STATUS_COMPLETED:
-            self.advance("done")
-        else:
-            self.advance(PHASE_FAILED, detail=outcome.status)
-        self.node.network.trace.emit(
-            "transfer_done",
-            role=self.role,
-            node=self.node.address.short(),
-            status=outcome.status,
-            bytes=outcome.bytes_received,
-        )
-        return outcome
-
-    def track(self, task: ker.Task) -> ker.Task:
+    def spawn(self, coro, name: str) -> ker.Task:
+        """Start a task that is cancelled once a winner is picked or the session ends."""
+        task = self.node.kernel.spawn(coro, name=name)
         self._tasks.append(task)
-        return self._tasks[-1]
+        return task
 
-    def cancel_losers(self, winners: Queue) -> None:
+    async def authenticate(
+        self, conn: Connection, binding: str, allowed_bindings: set[str] | None = None
+    ) -> None:
+        """Handshake and confirm one candidate; a confirmed channel joins ``winners``.
+
+        The sender is always the responder and the receiver the initiator.
+        A failure drops only this connection: the auth layer aborts it on
+        every failure and on cancellation. The auth role goes to
+        ``pake_handshake`` positionally: the benchmark's span tracer reads it
+        as the third argument.
+        """
+        peer = conn.remote
+        auth_role = ROLE_RESPONDER if self.role == ROLE_SENDER else ROLE_INITIATOR
+        try:
+            self.advance("authenticating", peer=peer.short())
+            keys, transcript, binding = await pake_handshake(
+                conn,
+                PakeSecret(self.password, binding),
+                auth_role,
+                self.rng,
+                allowed_bindings=allowed_bindings,
+                timeout=HANDSHAKE_TIMEOUT,
+            )
+            chan = await confirm_key(conn, keys, transcript, timeout=HANDSHAKE_TIMEOUT)
+        except PcpError as e:
+            self.auth_failures += 1
+            self.emit("auth_fail", peer=peer.short(), reason=type(e).__name__)
+            return
+        self.emit("auth_ok", peer=peer.short())
+        self.winners.put(_Candidate(peer.peer_id, chan, binding, self.node.kernel.now()))
+
+    async def run(
+        self,
+        no_winner: Callable[[], tuple[str, str]],
+        transfer: Callable[[_Candidate], Awaitable[TransferOutcome]],
+    ) -> TransferOutcome:
+        """Pick the winner, cancel the losers, run the transfer stage, record how it ended.
+
+        ``no_winner`` gives the failed phase's detail and the outcome's
+        reason when the deadline passes without a confirmed candidate.
+        """
+        try:
+            winner = await self._pick_winner()
+            if winner is None:
+                detail, reason = no_winner()
+                self.advance(PHASE_FAILED, detail=detail)
+                return TransferOutcome(STATUS_FAILED, reason=reason)
+            self._cancel_losers()
+            self.advance("awaiting-confirmation", peer=winner.peer_id[:8])
+            outcome = await transfer(winner)
+            if outcome.status == STATUS_COMPLETED:
+                self.advance("done")
+            else:
+                self.advance(PHASE_FAILED, detail=outcome.status)
+            self.emit("transfer_done", status=outcome.status, bytes=outcome.bytes_received)
+            return outcome
+        finally:
+            self._cancel_losers()
+
+    async def _pick_winner(self) -> _Candidate | None:
+        """First confirmed candidate wins; same-tick ties break on peer id."""
+        kernel = self.node.kernel
+        remaining = self.deadline_at - kernel.now()
+        if remaining <= 0:
+            return None
+        try:
+            first: _Candidate = await self.winners.get(timeout=remaining)
+        except WaitTimeout:
+            try:
+                first = self.winners.get_nowait()  # confirmed exactly at the deadline
+            except QueueEmpty:
+                return None
+        await ker.sleep(0)  # let same-tick confirmations land before arbitration
+        tied = [first]
+        while True:
+            try:
+                tied.append(self.winners.get_nowait())
+            except QueueEmpty:
+                break
+        same_tick = [c for c in tied if c.confirmed_at == first.confirmed_at]
+        winner = min(same_tick, key=lambda c: c.peer_id)
+        for candidate in tied:
+            if candidate is not winner:
+                candidate.chan.abort()
+        self.emit("winner", peer=winner.peer_id[:8], binding=winner.binding)
+        return winner
+
+    def _cancel_losers(self) -> None:
         """Tear down everything except the winning channel, promptly."""
         while True:
             try:
-                late: _Candidate = winners.get_nowait()
+                late: _Candidate = self.winners.get_nowait()
             except QueueEmpty:
                 break
             late.chan.abort()
@@ -150,89 +244,7 @@ class _SessionState:
         self._cancelled = True
         for task in self._tasks:
             task.cancel()
-        self.node.network.trace.emit(
-            "losers_cancelled", role=self.role, node=self.node.address.short()
-        )
-
-
-async def _pick_winner(state: _SessionState, winners: Queue, deadline_at: float) -> _Candidate | None:
-    """First confirmed candidate wins; same-tick ties break on peer id."""
-    kernel = state.node.kernel
-    remaining = deadline_at - kernel.now()
-    if remaining <= 0:
-        return None
-    try:
-        first: _Candidate = await winners.get(timeout=remaining)
-    except WaitTimeout:
-        try:
-            first = winners.get_nowait()  # confirmed exactly at the deadline
-        except QueueEmpty:
-            return None
-    await ker.sleep(0)  # let same-tick confirmations land before arbitration
-    tied = [first]
-    while True:
-        try:
-            tied.append(winners.get_nowait())
-        except QueueEmpty:
-            break
-    same_tick = [c for c in tied if c.confirmed_at == first.confirmed_at]
-    winner = min(same_tick, key=lambda c: c.peer_id)
-    for candidate in tied:
-        if candidate is not winner:
-            candidate.chan.abort()
-    state.winner = winner
-    state.node.network.trace.emit(
-        "winner",
-        role=state.role,
-        node=state.node.address.short(),
-        peer=winner.peer_id[:8],
-        binding=winner.binding,
-    )
-    return winner
-
-
-async def _authenticate(
-    state: _SessionState,
-    conn: Connection,
-    secret: PakeSecret,
-    role: str,
-    rng: random.Random,
-    winners: Queue,
-    allowed_bindings: set[str] | None = None,
-) -> None:
-    """Handshake and confirm one candidate; a confirmed channel joins ``winners``.
-
-    A failure drops only this connection: the auth layer aborts it on every
-    failure and on cancellation. ``role`` goes to ``pake_handshake``
-    positionally: the benchmark's span tracer reads it as the third argument.
-    """
-    node = state.node
-    peer = conn.remote
-    try:
-        state.advance("authenticating", peer=peer.short())
-        keys, transcript, binding = await pake_handshake(
-            conn,
-            secret,
-            role,
-            rng,
-            allowed_bindings=allowed_bindings,
-            timeout=HANDSHAKE_TIMEOUT,
-        )
-        chan = await confirm_key(conn, keys, transcript, timeout=HANDSHAKE_TIMEOUT)
-    except PcpError as e:
-        state.auth_failures += 1
-        node.network.trace.emit(
-            "auth_fail",
-            role=state.role,
-            node=node.address.short(),
-            peer=peer.short(),
-            reason=type(e).__name__,
-        )
-        return
-    node.network.trace.emit(
-        "auth_ok", role=state.role, node=node.address.short(), peer=peer.short()
-    )
-    winners.put(_Candidate(peer.peer_id, chan, binding, node.kernel.now()))
+        self.emit("losers_cancelled")
 
 
 async def run_sender(
@@ -256,27 +268,19 @@ async def run_sender(
     words = passphrase or generate_passphrase(config.word_count, rng)
     if on_code:
         on_code(words.render())
-    channel = channel_id(words)
-    password = PakePassword(words.secret_bytes())
-
+    session = _Session(node, ROLE_SENDER, config, words, rng)
     kernel = node.kernel
-    state = _SessionState(node, ROLE_SENDER)
-    deadline_at = kernel.now() + config.discovery_deadline
     published: set[str] = set()
-    winners: Queue = Queue()
-    node.network.trace.emit(
-        "session_start", role=ROLE_SENDER, node=node.address.short(), channel=channel
-    )
 
     async def publisher() -> None:
         while True:
-            key = sender_publish_key(channel, kernel.now())
+            key = sender_publish_key(session.channel, kernel.now())
             if key.id_string not in published:
                 published.add(key.id_string)
                 # all backends in parallel: a slow global publish must not
                 # hold back the local advertisement
                 writes = [
-                    state.track(kernel.spawn(backend.provide(node, key.content_key), name="publish"))
+                    session.spawn(backend.provide(node, key.content_key), name="publish")
                     for backend in config.backends
                 ]
                 for write in writes:
@@ -289,21 +293,11 @@ async def run_sender(
             await ker.sleep(next_slot_delay(key.slot, kernel.now()))
 
     async def acceptor() -> None:
-        secret = PakeSecret(password, "")
         while True:
             conn = await node.accept()
-            auth = _authenticate(state, conn, secret, ROLE_RESPONDER, rng, winners, published)
-            state.track(kernel.spawn(auth, name="sender-candidate"))
+            session.spawn(session.authenticate(conn, "", published), name="sender-candidate")
 
-    state.track(kernel.spawn(publisher(), name="sender-publish"))
-    state.track(kernel.spawn(acceptor(), name="sender-accept"))
-    try:
-        winner = await _pick_winner(state, winners, deadline_at)
-        if winner is None:
-            state.advance(PHASE_FAILED, detail="discovery-timeout")
-            return TransferOutcome(STATUS_FAILED, reason="timeout")
-        state.cancel_losers(winners)
-        state.advance("awaiting-confirmation", peer=winner.peer_id[:8])
+    async def transfer(winner: _Candidate) -> TransferOutcome:
         node.network.trace.emit(
             "manifest_sent",
             src=node.address.short(),
@@ -312,13 +306,14 @@ async def run_sender(
             size=manifest.size,
             sha256=manifest.sha256_hex,
         )
-        outcome = await send_file(
+        return await send_file(
             winner.chan, path, manifest, progress,
-            on_accept=lambda: state.advance("transferring"),
+            on_accept=lambda: session.advance("transferring"),
         )
-        return state.finish(outcome)
-    finally:
-        state.cancel_losers(winners)
+
+    session.spawn(publisher(), name="sender-publish")
+    session.spawn(acceptor(), name="sender-accept")
+    return await session.run(lambda: ("discovery-timeout", "timeout"), transfer)
 
 
 async def run_receiver(
@@ -332,28 +327,16 @@ async def run_receiver(
     rng: random.Random | None = None,
 ) -> TransferOutcome:
     """Whole receiver lifecycle; returns the final transfer outcome."""
-    rng = rng or node.kernel.rng("session")
-    words = parse_passphrase(passphrase_text)
-    channel = channel_id(words)
-    password = PakePassword(words.secret_bytes())
-
+    session = _Session(node, ROLE_RECEIVER, config, parse_passphrase(passphrase_text), rng)
     kernel = node.kernel
-    state = _SessionState(node, ROLE_RECEIVER)
-    deadline_at = kernel.now() + config.discovery_deadline
-    winners: Queue = Queue()
     dialed: set[str] = set()
-    node.network.trace.emit(
-        "session_start", role=ROLE_RECEIVER, node=node.address.short(), channel=channel
-    )
 
     async def candidate(addr: PeerAddress, binding: str) -> None:
         try:
             conn = await node.dial(addr)
         except DialError:
             return  # simnet already traced the failed dial
-        await _authenticate(
-            state, conn, PakeSecret(password, binding), ROLE_INITIATOR, rng, winners
-        )
+        await session.authenticate(conn, binding)
 
     async def pump(stream: ProviderStream, binding: str) -> None:
         """Read one lookup to its deadline, dialing each provider not dialed yet."""
@@ -361,17 +344,17 @@ async def run_receiver(
             while (addr := await stream.next()) is not None:
                 if addr.peer_id not in dialed:
                     dialed.add(addr.peer_id)
-                    state.track(kernel.spawn(candidate(addr, binding), name="receiver-candidate"))
+                    session.spawn(candidate(addr, binding), name="receiver-candidate")
         except BackendUnavailable:
             logger.warning("a discovery backend stopped mid-lookup")
 
     async def querier() -> None:
         started: set[str] = set()
         while True:
-            remaining = deadline_at - kernel.now()
+            remaining = session.deadline_at - kernel.now()
             if remaining <= 0:
                 return
-            keys = receiver_query_keys(channel, kernel.now())
+            keys = receiver_query_keys(session.channel, kernel.now())
             for key in keys:
                 if key.id_string in started:
                     continue
@@ -381,28 +364,18 @@ async def run_receiver(
                         stream = backend.find_providers(node, key.content_key, deadline=remaining)
                     except BackendUnavailable:
                         continue
-                    state.track(kernel.spawn(pump(stream, key.id_string), name="pump"))
+                    session.spawn(pump(stream, key.id_string), name="pump")
             await ker.sleep(next_slot_delay(keys[0].slot, kernel.now()))
 
-    state.track(kernel.spawn(querier(), name="receiver-query"))
-    try:
-        winner = await _pick_winner(state, winners, deadline_at)
-        if winner is None:
-            if state.auth_failures:
-                state.advance(PHASE_FAILED, detail="auth-exhausted")
-                return TransferOutcome(STATUS_FAILED, reason="auth-exhausted")
-            state.advance(PHASE_FAILED, detail="not-found")
-            return TransferOutcome(STATUS_FAILED, reason="not-found")
-        state.cancel_losers(winners)
-        state.advance("awaiting-confirmation", peer=winner.peer_id[:8])
+    def no_winner() -> tuple[str, str]:
+        reason = "auth-exhausted" if session.auth_failures else "not-found"
+        return reason, reason
 
-        async def deciding(manifest) -> bool:
-            accepted = bool(await decide(manifest)) if decide is not None else False
-            if accepted:
-                state.advance("transferring")
-            return accepted
-
-        outcome = await receive_file(winner.chan, deciding, dest_dir, progress=progress)
-        return state.finish(outcome)
-    finally:
-        state.cancel_losers(winners)
+    session.spawn(querier(), name="receiver-query")
+    return await session.run(
+        no_winner,
+        lambda winner: receive_file(
+            winner.chan, decide, dest_dir, progress=progress,
+            on_accept=lambda: session.advance("transferring"),
+        ),
+    )

@@ -184,10 +184,6 @@ class SimNode:
     def __repr__(self) -> str:
         return f"<SimNode {self.address.short()}>"
 
-    @property
-    def clock(self) -> ker.VirtualClock:
-        return self.kernel.clock
-
     def stop(self) -> None:
         """Take the node offline; existing connections drop."""
         if self.stopped:

@@ -122,10 +122,6 @@ class TransferOutcome:
     reason: str | None = None
     path: str | None = field(default=None)  # receiver side: final destination
 
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_COMPLETED
-
 
 def manifest_for_file(path: str, chunk_size: int = DEFAULT_CHUNK_SIZE) -> TransferManifest:
     """Pre-pass over the file: size and whole-body SHA-256.
@@ -160,18 +156,6 @@ def _split_app_frame(plaintext: bytes) -> tuple[int, memoryview]:
 
 
 # -- sender side -------------------------------------------------------------
-
-
-async def send_manifest(chan: SecureChannel, manifest: TransferManifest) -> bool:
-    """Announce the file; block until the receiver decides. True = accepted."""
-    await chan.send(_app_frame(SUB_MANIFEST, manifest.encode()))
-    reply = await chan.recv()
-    subtype, _ = _split_app_frame(reply)
-    if subtype == SUB_ACCEPT:
-        return True
-    if subtype == SUB_REJECT:
-        return False
-    raise ProtocolError(f"expected accept/reject, got sub-type 0x{subtype:02x}")
 
 
 async def stream_file(
@@ -214,17 +198,22 @@ async def stream_file(
 async def send_file(
     chan: SecureChannel,
     path: str,
-    manifest: TransferManifest | None = None,
+    manifest: TransferManifest,
     progress: ProgressFn | None = None,
     on_accept: Callable[[], None] | None = None,
 ) -> TransferOutcome:
-    """Manifest exchange plus body streaming; ``on_accept`` runs before any body bytes."""
+    """Announce the file, wait for the receiver's decision, then stream the body.
+
+    ``on_accept`` runs once the receiver accepts, before any body bytes.
+    """
     try:
-        if manifest is None:
-            manifest = manifest_for_file(path)
-        if not await send_manifest(chan, manifest):
+        await chan.send(_app_frame(SUB_MANIFEST, manifest.encode()))
+        subtype = _split_app_frame(await chan.recv())[0]
+        if subtype == SUB_REJECT:
             await chan.close()
             return TransferOutcome(STATUS_REJECTED, 0, reason="receiver-declined")
+        if subtype != SUB_ACCEPT:
+            raise ProtocolError(f"expected accept/reject, got sub-type 0x{subtype:02x}")
         if on_accept:
             on_accept()
         with open(path, "rb") as f:
@@ -276,8 +265,12 @@ async def receive_file(
     dest_dir: str,
     decision_timeout: float = 60.0,
     progress: ProgressFn | None = None,
+    on_accept: Callable[[], None] | None = None,
 ) -> TransferOutcome:
     """Run the receiving half: manifest, decision, body, verify, place.
+
+    ``on_accept`` runs once the decision is a timely yes, before the accept
+    frame is sent.
 
     Any protocol violation, lost connection or local I/O error aborts the
     channel and ends in an aborted outcome; no partial file is left behind.
@@ -294,6 +287,8 @@ async def receive_file(
             await chan.send(_app_frame(SUB_REJECT))
             await chan.close()
             return TransferOutcome(STATUS_REJECTED, 0, reason="declined")
+        if on_accept:
+            on_accept()
 
         # a destination we cannot write fails here, before the sender is told to stream
         os.makedirs(dest_dir, exist_ok=True)

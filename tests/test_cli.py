@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -318,6 +319,48 @@ class TestRoundTrip:
         assert recv_rc == 5 and send_rc == 5
         assert "declining" in recv_out.getvalue()
         assert not (tmp_path / "inbox" / "x.bin").exists()
+
+    def test_end_of_input_at_the_prompt_rejects(self, sim_config_path, tmp_path, monkeypatch):
+        # Ctrl-D at "Receive ...? [y/N]": a terminal whose input has ended
+        class EndedTerminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        monkeypatch.setattr(sys, "stdin", EndedTerminal(""))
+        world = SimWorld.load(sim_config_path)
+        parser = build_parser()
+        src = tmp_path / "x.bin"
+        src.write_bytes(b"data")
+        send_out, recv_out = io.StringIO(), io.StringIO()
+
+        async def scenario():
+            send_args = parser.parse_args(["send", "--sim-config", sim_config_path, str(src)])
+            send_task = world.kernel.spawn(cli.send_command(send_args, world, send_out))
+            from pcp.kernel import sleep
+
+            while CODE_PREFIX not in send_out.getvalue():
+                await sleep(0.05)
+            code = send_out.getvalue().split(CODE_PREFIX)[1].split()[0]
+            recv_args = parser.parse_args(
+                ["receive", "--dir", str(tmp_path / "inbox"), "--sim-config",
+                 sim_config_path, code]
+            )
+            recv_rc = await cli.receive_command(recv_args, world, recv_out)
+            return await send_task.join(), recv_rc
+
+        send_rc, recv_rc = world.kernel.run(scenario())
+        assert recv_rc == 5 and send_rc == 5
+        assert "transfer rejected" in recv_out.getvalue()
+        assert not (tmp_path / "inbox" / "x.bin").exists()
+
+    def test_simulate_leaves_no_work_directory(self, sim_config_path, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        out = io.StringIO()
+        rc = main(["simulate", "--sim-config", sim_config_path, "--size", "1000"], out=out)
+        assert rc == 0, out.getvalue()
+        assert os.listdir(scratch) == []
 
 
 class TestSimConfig:

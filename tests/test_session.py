@@ -42,6 +42,11 @@ class TestHappyPath:
         run_pair(world, payload_file(1000), str(tmp_path / "inbox"))
         assert _phases(world, "sender") == list(PHASE_ORDER)
 
+    def test_receiver_phases_on_accept(self, payload_file, tmp_path):
+        world = build_world(seed=2)
+        run_pair(world, payload_file(1000), str(tmp_path / "inbox"))
+        assert _phases(world, "receiver") == list(PHASE_ORDER)
+
     def test_completion_within_config_derived_bound(self, payload_file, tmp_path):
         world = build_world(seed=3)
         t0 = world.kernel.now()
@@ -209,6 +214,70 @@ class TestAuthScenarios:
             "discovering", "authenticating", "awaiting-confirmation", "failed"
         ]
         assert phases[-1]["detail"] == "rejected"
+
+    def test_receiver_phases_on_reject(self, payload_file, tmp_path):
+        world = build_world(seed=12)
+        run_pair(world, payload_file(1000), str(tmp_path / "inbox"), decide=reject_all)
+        phases = [e for e in world.kernel.trace.events
+                  if e["event"] == "phase" and e["role"] == "receiver"]
+        assert [e["phase"] for e in phases] == [
+            "discovering", "authenticating", "awaiting-confirmation", "failed"
+        ]
+        assert phases[-1]["detail"] == "rejected"
+
+
+class TestDeadlineOutcomes:
+    """How each role ends when its deadline passes without a confirmed peer."""
+
+    @staticmethod
+    def _last_phase(world, role):
+        return [e for e in world.kernel.trace.events
+                if e["event"] == "phase" and e["role"] == role][-1]
+
+    def test_sender_alone_ends_in_discovery_timeout(self, payload_file):
+        world = build_world(seed=10)
+        sender = world.node()
+
+        async def main():
+            return await run_sender(sender, world.config(discovery_deadline=5), payload_file(10))
+
+        out = world.kernel.run(main())
+        assert (out.status, out.reason) == ("failed", "timeout")
+        assert _phases(world, "sender") == ["discovering", "failed"]
+        assert self._last_phase(world, "sender")["detail"] == "discovery-timeout"
+
+    def test_receiver_alone_ends_in_not_found(self, tmp_path):
+        world = build_world(seed=9)
+        receiver = world.node()
+
+        async def main():
+            return await run_receiver(
+                receiver, world.config(discovery_deadline=5), "abandon-zoo",
+                dest_dir=str(tmp_path), decide=accept_all,
+            )
+
+        out = world.kernel.run(main())
+        assert (out.status, out.reason) == ("failed", "not-found")
+        assert _phases(world, "receiver") == ["discovering", "failed"]
+        assert self._last_phase(world, "receiver")["detail"] == "not-found"
+
+    def test_wrong_last_word_ends_in_auth_exhausted_and_sender_timeout(
+        self, payload_file, tmp_path
+    ):
+        world = build_world(seed=11)
+        phrase = Passphrase(("abandon", "zoo", "zebra", "wrap"))
+        wrong = Passphrase(("abandon", "zoo", "zebra", "wolf"))
+        s_out, r_out, _ = run_pair(
+            world, payload_file(4000), str(tmp_path / "inbox"),
+            config=world.config(discovery_deadline=10), passphrase=phrase,
+            receive_config=world.config(discovery_deadline=8), receive_words=wrong.render(),
+        )
+        assert (r_out.status, r_out.reason) == ("failed", "auth-exhausted")
+        assert _phases(world, "receiver") == ["discovering", "authenticating", "failed"]
+        assert self._last_phase(world, "receiver")["detail"] == "auth-exhausted"
+        assert (s_out.status, s_out.reason) == ("failed", "timeout")
+        assert _phases(world, "sender") == ["discovering", "authenticating", "failed"]
+        assert self._last_phase(world, "sender")["detail"] == "discovery-timeout"
 
 
 class TestCollisionScenarios:

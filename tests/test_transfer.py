@@ -174,6 +174,11 @@ async def reject_all(manifest):
     return False
 
 
+async def _yes_after_the_timeout(manifest):
+    await sleep(10)
+    return True
+
+
 def _run_transfer(payload: bytes, tmp_path, decide=accept_all, chunk_size=65536, seed=0):
     fx = _ChannelFixture(seed=seed)
     src = tmp_path / "src.bin"
@@ -219,7 +224,7 @@ class TestEndToEnd:
 
         async def main():
             chan_s, chan_r = await fx.channels()
-            st = spawn(send_file(chan_s, str(src)))
+            st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
             rt = spawn(
                 receive_file(
                     chan_r, accept_all, str(tmp_path / "inbox"),
@@ -251,7 +256,7 @@ class TestEndToEnd:
 
         async def main():
             chan_s, chan_r = await fx.channels()
-            st = spawn(send_file(chan_s, str(src)))
+            st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
             rt = spawn(receive_file(chan_r, accept_all, str(not_a_dir)))
             return await st.join(), await rt.join(), chan_r
 
@@ -277,6 +282,31 @@ class TestEndToEnd:
         assert s_out.status == "rejected"
         assert r_out.status == "rejected"
         assert chan_s.frames_sealed == 1
+
+    @pytest.mark.parametrize(
+        "decide, calls",
+        [(accept_all, [0]), (reject_all, []), (_yes_after_the_timeout, []), (None, [])],
+        ids=["accept", "reject", "decision-timeout", "no-decider"],
+    )
+    def test_on_accept_runs_once_before_the_accept_frame(self, decide, calls, tmp_path):
+        # each call records how many frames the receiver had sealed by then
+        fx = _ChannelFixture()
+        src = tmp_path / "src.bin"
+        src.write_bytes(b"data")
+        seen = []
+
+        async def main():
+            chan_s, chan_r = await fx.channels()
+            st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
+            rt = spawn(receive_file(
+                chan_r, decide, str(tmp_path / "inbox"), decision_timeout=5,
+                on_accept=lambda: seen.append(chan_r.frames_sealed),
+            ))
+            return await st.join(), await rt.join()
+
+        s_out, r_out = fx.kernel.run(main())
+        assert seen == calls
+        assert r_out.status == ("completed" if calls else "rejected")
 
     def test_destination_collision_appends_counter(self, tmp_path):
         dest = tmp_path / "inbox"
@@ -345,7 +375,7 @@ class TestEndToEnd:
                 fx.net.partition("lan0")
 
             spawn(cut_after_three_chunks())
-            st = spawn(send_file(chan_s, str(src)))
+            st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
             rt = spawn(
                 receive_file(
                     chan_r, accept_all, dest,
@@ -445,7 +475,7 @@ class TestConfirmedPeerMisbehaves:
 
         async def main():
             chan_s, chan_r = await fx.channels()
-            st = spawn(send_file(chan_s, str(src)))
+            st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
             await chan_r.recv()  # the manifest
             await chan_r.send(transfer._app_frame(transfer.SUB_CHUNK))
             return await st.join(), chan_s
@@ -529,7 +559,7 @@ class TestSenderFuzz:
 
         async def main(src):
             chan_s, chan_r = await fx.channels()
-            st_ = spawn(send_file(chan_s, src))
+            st_ = spawn(send_file(chan_s, src, manifest_for_file(src)))
             try:
                 await chan_r.recv()  # the manifest
                 for frame in frames:
