@@ -13,9 +13,10 @@ subgroup) from the published DSA-style parameter sets; the two blinding
 elements are nothing-up-my-sleeve values hashed from fixed seed strings
 into the subgroup, pinned here as literals (a test re-derives them).
 Exponentiations with a fixed base (G, M, N) use a Lim-Lee comb over
-tables built at import; the two with a peer-chosen base (the subgroup
-check and the shared secret) use gmpy2 when installed, otherwise the
-built-in pow.
+tables that ship as package data and are checked against a pinned digest
+at import (a test rebuilds them); the two with a peer-chosen base (the
+subgroup check and the shared secret) use gmpy2 when installed, otherwise
+the built-in pow.
 
 Two of each side's three fixed-base exponentiations depend on the password
 alone: its own blinding term blind**w and the peer's unblinding term
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from importlib import resources
 
 from .errors import InvalidArgument, ProtocolError
 
@@ -135,12 +137,15 @@ _N = int(
 # base holds, for every subset of rows, the product of base**(2**(row * cols))
 # over that subset. One exponentiation is then _COMB_COLS squarings and at
 # most _COMB_COLS multiplications, against about 300 for pow. Each table has
-# 256 entries (about 110 KiB); building all three costs about 50 ms at import.
+# 256 entries (about 110 KiB); building all three would cost about 45 ms, so
+# they ship prebuilt and no process start builds them.
 _COMB_ROWS = 8
 _COMB_COLS = 32
+_COMB_SIZE = 1 << _COMB_ROWS
 
 
 def _comb_table(base: int) -> list[int]:
+    """The definition of a table; only tests/test_pake.py calls it."""
     table = [1]
     row_base = base
     for row in range(_COMB_ROWS):
@@ -150,7 +155,30 @@ def _comb_table(base: int) -> list[int]:
     return table
 
 
-_COMB_TABLES = {base: _comb_table(base) for base in (_G, _M, _N)}
+# pcp/data/comb_tables.bin holds the tables of G, M and N in that order, each
+# entry as _comb_table lists it, ELEMENT_LEN big-endian bytes. A damaged file
+# stops the import: there is no second path that rebuilds the tables.
+_COMB_BASES = (_G, _M, _N)
+_COMB_FILE = "comb_tables.bin"
+_COMB_FILE_LEN = len(_COMB_BASES) * _COMB_SIZE * ELEMENT_LEN
+_COMB_FILE_SHA256 = "473333f07830ae36d09e71e0b4e4f880eb28a2b920a95178877af7e70c7776cd"
+
+
+def _load_comb_tables(raw: bytes) -> dict[int, list[int]]:
+    """Split the pinned table file into one table per base."""
+    if len(raw) != _COMB_FILE_LEN:
+        raise RuntimeError(f"pcp/data/{_COMB_FILE} has {len(raw)} bytes, not {_COMB_FILE_LEN}")
+    if hashlib.sha256(raw).hexdigest() != _COMB_FILE_SHA256:
+        raise RuntimeError(f"pcp/data/{_COMB_FILE} does not match its pinned SHA-256")
+    entries = [
+        int.from_bytes(raw[i : i + ELEMENT_LEN], "big") for i in range(0, _COMB_FILE_LEN, ELEMENT_LEN)
+    ]
+    return {
+        base: entries[k * _COMB_SIZE : (k + 1) * _COMB_SIZE] for k, base in enumerate(_COMB_BASES)
+    }
+
+
+_COMB_TABLES = _load_comb_tables(resources.files("pcp.data").joinpath(_COMB_FILE).read_bytes())
 
 
 def _fixed_pow(base: int, exp: int) -> int:

@@ -6,8 +6,9 @@ and hand the first channel that passes key confirmation to the transfer
 stage; every other candidate is cancelled promptly. A failed confirmation
 drops only that connection; the hunt continues until the deadline.
 
-Only the hunt and the transfer stage differ. The sender generates and
-displays the words, publishes the rendezvous key on every configured backend
+Only the hunt and the transfer stage differ. The sender checks that its
+file opens and that its name can be sent, generates and displays the words,
+then hashes the file, publishes the rendezvous key on every configured backend
 (re-publishing when the slot rolls over), accepts inbound connections and
 authenticates each as responder, then sends the file. The receiver queries
 every backend for the current and previous slots in parallel, dials
@@ -23,6 +24,7 @@ runs shares it, so the password-only exponentiations run once per session.
 from __future__ import annotations
 
 import logging
+import os
 import random
 from dataclasses import dataclass
 from typing import Awaitable, Callable
@@ -49,6 +51,7 @@ from .transfer import (
     DecideFn,
     ProgressFn,
     TransferOutcome,
+    check_name,
     manifest_for_file,
     receive_file,
     send_file,
@@ -247,6 +250,11 @@ class _Session:
         self.emit("losers_cancelled")
 
 
+def _cannot_send(path: str, error: Exception) -> TransferOutcome:
+    logger.error("cannot send %s: %s", path, error)
+    return TransferOutcome(STATUS_FAILED, reason="io")
+
+
 async def run_sender(
     node: SimNode,
     config: SessionConfig,
@@ -259,15 +267,19 @@ async def run_sender(
 ) -> TransferOutcome:
     """Whole sender lifecycle; returns the final transfer outcome."""
     rng = rng or node.kernel.rng("session")
-    try:
-        manifest = manifest_for_file(path)
+    try:  # what can fail without reading the file fails before the code is shown
+        with open(path, "rb"):
+            check_name(os.path.basename(path))
     except (OSError, InvalidArgument) as e:  # unreadable, or a name the manifest cannot carry
-        logger.error("cannot send %s: %s", path, e)
-        return TransferOutcome(STATUS_FAILED, reason="io")
+        return _cannot_send(path, e)
 
     words = passphrase or generate_passphrase(config.word_count, rng)
     if on_code:
         on_code(words.render())
+    try:  # the whole-file hash runs once the code is out, before the deadline starts
+        manifest = manifest_for_file(path)
+    except OSError as e:
+        return _cannot_send(path, e)
     session = _Session(node, ROLE_SENDER, config, words, rng)
     kernel = node.kernel
     published: set[str] = set()

@@ -51,6 +51,18 @@ ProgressFn = Callable[[int, int], None]
 DecideFn = Callable[["TransferManifest"], Awaitable[bool]]
 
 
+def check_name(name: str) -> None:
+    """Refuse a file name that a manifest cannot carry."""
+    try:
+        raw = name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InvalidArgument("filename is not valid UTF-8") from None
+    if not name or len(raw) > MAX_NAME_BYTES:
+        raise InvalidArgument("filename must be 1..255 bytes")
+    if name in (".", "..") or any(sep in name for sep in ("/", "\\", "\x00")):
+        raise InvalidArgument(f"filename {name!r} is not a plain base name")
+
+
 @dataclass(frozen=True)
 class TransferManifest:
     """What the receiver is asked to approve before any body bytes flow."""
@@ -61,14 +73,7 @@ class TransferManifest:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
-        try:
-            raw = self.name.encode("utf-8")
-        except UnicodeEncodeError:
-            raise InvalidArgument("filename is not valid UTF-8") from None
-        if not self.name or len(raw) > MAX_NAME_BYTES:
-            raise InvalidArgument("filename must be 1..255 bytes")
-        if self.name in (".", "..") or any(sep in self.name for sep in ("/", "\\", "\x00")):
-            raise InvalidArgument(f"filename {self.name!r} is not a plain base name")
+        check_name(self.name)
         if self.size < 0:
             raise InvalidArgument("size must be non-negative")
         if not 0 < self.chunk_size <= MAX_CHUNK_SIZE:

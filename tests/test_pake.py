@@ -1,10 +1,18 @@
-"""The fixed-base comb and the pinned blinding elements in pcp.pake."""
+"""The fixed-base comb, its pinned tables and the pinned blinding elements in pcp.pake."""
 
+import os
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pcp import pake
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 BASES = {"G": pake._G, "M": pake._M, "N": pake._N}
 EDGE_EXPONENTS = [0, 1, pake._Q - 1, 2**256 - 1]
@@ -33,6 +41,75 @@ def test_pinned_blinding_element_is_its_seed_derivation(name, seed):
     assert element == pake._hash_to_subgroup(seed)
     assert element != 1
     assert pow(element, pake._Q, pake._P) == 1
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_pinned_comb_table_is_its_comb_table_derivation(name):
+    base = BASES[name]
+    loaded = pake._COMB_TABLES[base]
+    rebuilt = pake._comb_table(base)
+    assert len(loaded) == len(rebuilt) == 256
+    for index, (got, want) in enumerate(zip(loaded, rebuilt)):
+        assert got == want, index
+
+
+def _python(code, pythonpath, tmp_path):
+    """Run ``code`` in a fresh interpreter that imports pcp from ``pythonpath``."""
+    env = dict(os.environ, PYTHONPATH=str(pythonpath))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda raw: raw[:-1], "294911 bytes, not 294912"),
+        (lambda raw: raw[:1000] + bytes([raw[1000] ^ 1]) + raw[1001:], "pinned SHA-256"),
+    ],
+    ids=["truncated", "one-byte-flipped"],
+)
+def test_damaged_table_file_stops_the_import(damage, message, tmp_path):
+    copy = tmp_path / "site"
+    shutil.copytree(SRC / "pcp", copy / "pcp", ignore=shutil.ignore_patterns("__pycache__"))
+    table_file = copy / "pcp" / "data" / "comb_tables.bin"
+    table_file.write_bytes(damage(table_file.read_bytes()))
+    run = _python("import pcp.pake", copy, tmp_path)
+    assert run.returncode != 0
+    assert "RuntimeError" in run.stderr and message in run.stderr
+
+
+def test_importing_the_cli_runs_no_exponentiation(tmp_path):
+    # a fresh process, so that nothing is imported yet; the profiler sees
+    # every Python call and every call of a built-in
+    code = """
+import builtins, sys
+calls = []
+def watch(frame, event, arg):
+    if event == "c_call" and arg is builtins.pow:
+        calls.append("pow")
+    elif event == "call" and frame.f_code.co_name == "_comb_table":
+        calls.append("_comb_table")
+sys.setprofile(watch)
+import pcp.cli
+sys.setprofile(None)
+print(calls)
+"""
+    run = _python(code, SRC, tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_every_data_file_is_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["pcp"]
+    package = SRC / "pcp"
+    shipped = {path for pattern in globs for path in package.glob(pattern)}
+    data_files = {path for path in (package / "data").rglob("*") if path.is_file()}
+    assert data_files
+    assert data_files <= shipped, sorted(str(p.relative_to(package)) for p in data_files - shipped)
 
 
 PASSWORD = b"alfa-bravo-charlie-delta"

@@ -1,7 +1,10 @@
 import os
 import random
+import tracemalloc
 
-from pcp import pake
+import pytest
+
+from pcp import framing, pake, session
 from pcp.kernel import sleep, spawn
 from pcp.passphrase import Passphrase, generate_passphrase
 from pcp.rendezvous import receiver_query_keys, sender_publish_key
@@ -453,3 +456,90 @@ class TestSlotHelpers:
     def test_receiver_near_epoch_has_single_key(self):
         keys = receiver_query_keys(9, 120)
         assert [k.id_string for k in keys] == ["/pcp/0/9"]
+
+
+class TestSenderStart:
+    """What the sender checks before it shows its code, and when it hashes."""
+
+    @staticmethod
+    def _send_alone(path, monkeypatch, manifest=None):
+        """Run a lone sender; returns its outcome and the order of code and hash."""
+        order = []
+        real_manifest = manifest or session.manifest_for_file
+
+        def recording_manifest(*args):
+            order.append("hash")
+            return real_manifest(*args)
+
+        monkeypatch.setattr(session, "manifest_for_file", recording_manifest)
+        world = build_world(seed=10)
+        sender = world.node()
+
+        async def main():
+            return await run_sender(
+                sender, world.config(discovery_deadline=2), path,
+                on_code=lambda code: order.append("code"),
+            )
+
+        return world.kernel.run(main()), order, world
+
+    def test_code_is_shown_before_any_byte_is_hashed(self, payload_file, monkeypatch):
+        out, order, _ = self._send_alone(payload_file(5000), monkeypatch)
+        assert (out.status, out.reason) == ("failed", "timeout")
+        assert order == ["code", "hash"]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "name-with-backslash"])
+    def test_unsendable_file_fails_before_the_code(self, kind, tmp_path, monkeypatch):
+        path = tmp_path / {"missing": "absent.bin", "directory": "folder",
+                           "name-with-backslash": "a\\b.bin"}[kind]
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "name-with-backslash":
+            path.write_bytes(b"hello")
+        out, order, world = self._send_alone(str(path), monkeypatch)
+        assert (out.status, out.reason) == ("failed", "io")
+        assert order == []
+        assert "session_start" not in [e["event"] for e in world.kernel.trace.events]
+
+    def test_read_error_during_the_hash_ends_io_after_the_code(
+        self, payload_file, monkeypatch
+    ):
+        def unreadable(*args):
+            raise OSError("read failed")
+
+        out, order, world = self._send_alone(payload_file(5000), monkeypatch, unreadable)
+        assert (out.status, out.reason) == ("failed", "io")
+        assert order == ["code", "hash"]
+        assert "session_start" not in [e["event"] for e in world.kernel.trace.events]
+
+
+class TestPreAuthentication:
+    def test_oversize_msg1_announcements_stay_under_a_mebibyte(self, payload_file):
+        # eight dialers each announce a 16 MiB message 1 and send 1 KiB of
+        # it; the per-type frame bound refuses each at its header
+        world = build_world(seed=21)
+        sender = world.node()
+        announced = (16 << 20).to_bytes(4, "big")
+        header = bytes((framing.PROTOCOL_VERSION, framing.TYPE_PAKE_MSG_1)) + announced
+
+        async def dialer():
+            conn = await world.node().dial(sender.address)
+            await conn.send(header + bytes(1024))
+
+        async def main():
+            task = spawn(run_sender(sender, world.config(discovery_deadline=5), payload_file(100)))
+            await sleep(0.1)
+            for _ in range(8):
+                spawn(dialer())
+            return await task.join()
+
+        tracemalloc.start()
+        try:
+            out = world.kernel.run(main())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (out.status, out.reason) == ("failed", "timeout")
+        failures = [e for e in world.kernel.trace.events if e["event"] == "auth_fail"]
+        assert [e["reason"] for e in failures] == ["ProtocolError"] * 8
+        assert peak < 1 << 20, peak
