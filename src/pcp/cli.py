@@ -8,7 +8,8 @@ from the sender's output into the receiver's argv.
 
 Exit codes: 0 success, 2 usage, 3 discovery timeout / peer not found,
 4 authentication exhausted, 5 transfer rejected, 6 I/O or transfer
-failure, 7 interrupted.
+failure (also a session left waiting on work that can never come),
+7 interrupted.
 """
 
 from __future__ import annotations
@@ -328,6 +329,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except KeyboardInterrupt:
         print("pcp: interrupted", file=out)
         return EXIT_INTERRUPTED
+    except ker.KernelDeadlock as e:
+        # every task is waiting on something that nothing will deliver
+        print(f"pcp: stalled: {e}", file=out)
+        return EXIT_IO
     except PassphraseParseError as e:
         print(f"pcp: bad passphrase: {e}", file=out)
         return EXIT_USAGE

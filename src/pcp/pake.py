@@ -14,9 +14,12 @@ elements are nothing-up-my-sleeve values hashed from fixed seed strings
 into the subgroup, pinned here as literals (a test re-derives them).
 Exponentiations with a fixed base (G, M, N) use a Lim-Lee comb over
 tables that ship as package data and are checked against a pinned digest
-at import (a test rebuilds them); the two with a peer-chosen base (the
-subgroup check and the shared secret) use gmpy2 when installed, otherwise
-the built-in pow.
+at import (a test rebuilds them). The two with a peer-chosen base (the
+subgroup check and the shared secret) run on the host's libgmp when
+libgmp.so.10 loads: GMP's mpz_powm_sec, a constant-time exponentiation, so
+the secret scalar x never goes through a variable-time pow there. Without
+the library, or for arguments outside mpz_powm_sec's domain, they use the
+built-in pow; both give the same integers.
 
 Two of each side's three fixed-base exponentiations depend on the password
 alone: its own blinding term blind**w and the peer's unblinding term
@@ -30,20 +33,76 @@ plain bytes gets a fresh PakePassword that shares nothing.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import random
+from collections.abc import Callable
 from importlib import resources
 
 from .errors import InvalidArgument, ProtocolError
 
-try:  # optional accelerator; identical semantics
-    from gmpy2 import powmod as _gmpy_powmod
 
-    def _pow(base: int, exp: int, mod: int) -> int:
-        return int(_gmpy_powmod(base, exp, mod))
+class _Mpz(ctypes.Structure):
+    """GMP's __mpz_struct: allocated limbs, signed used limbs, limb pointer."""
 
-except ImportError:  # pragma: no cover - environment dependent
-    _pow = pow
+    _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("limbs", ctypes.c_void_p)]
+
+
+def _load_gmp_pow() -> Callable[[int, int, int], int] | None:
+    """Bind libgmp's mpz_powm_sec as a pow(base, exp, mod), or None without it.
+
+    The library is opened by its soname: ctypes.util.find_library would
+    start ldconfig in a child process at import.
+    """
+    try:
+        gmp = ctypes.CDLL("libgmp.so.10")
+    except OSError:
+        return None
+    mpz_p = ctypes.POINTER(_Mpz)
+    size_t = ctypes.c_size_t
+    init, clear = gmp.__gmpz_init, gmp.__gmpz_clear
+    init.argtypes = clear.argtypes = [mpz_p]
+    init.restype = clear.restype = None
+    mpz_import = gmp.__gmpz_import
+    mpz_import.argtypes = [
+        mpz_p, size_t, ctypes.c_int, size_t, ctypes.c_int, size_t, ctypes.c_char_p
+    ]
+    mpz_import.restype = None
+    mpz_export = gmp.__gmpz_export
+    mpz_export.argtypes = [
+        ctypes.c_char_p, ctypes.POINTER(size_t), ctypes.c_int, size_t, ctypes.c_int, size_t, mpz_p
+    ]
+    mpz_export.restype = ctypes.c_void_p
+    powm_sec = gmp.__gmpz_powm_sec
+    powm_sec.argtypes = [mpz_p, mpz_p, mpz_p, mpz_p]
+    powm_sec.restype = None
+
+    def gmp_pow(base: int, exp: int, mod: int) -> int:
+        # mpz_powm_sec needs exp > 0 and an odd modulus; an imported mpz
+        # carries no sign, so a negative base stays with pow as well
+        if exp <= 0 or mod <= 1 or not mod & 1 or base < 0:
+            return pow(base, exp, mod)
+        result, *operands = (_Mpz() for _ in range(4))
+        for z in (result, *operands):
+            init(z)
+        try:
+            for z, value in zip(operands, (base, exp, mod)):
+                raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+                # count bytes of 1 byte each, most significant first, no nails
+                mpz_import(z, len(raw), 1, 1, 1, 0, raw)
+            powm_sec(result, *operands)
+            out = ctypes.create_string_buffer((mod.bit_length() + 7) // 8)
+            written = size_t()
+            mpz_export(out, ctypes.byref(written), 1, 1, 1, 0, result)
+            return int.from_bytes(out.raw[: written.value], "big")
+        finally:
+            for z in (result, *operands):
+                clear(z)
+
+    return gmp_pow
+
+
+_pow = _load_gmp_pow() or pow
 
 ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"

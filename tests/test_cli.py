@@ -10,6 +10,7 @@ import pytest
 from pcp import cli
 from pcp.cli import CODE_PREFIX, build_parser, main, render_progress
 from pcp.errors import InvalidArgument
+from pcp.kernel import Event
 from pcp.passphrase import parse_passphrase
 from pcp.simworld import SimConfig, SimWorld
 
@@ -270,6 +271,20 @@ class TestRoundTrip:
         rc = main(["send", "--sim-config", sim_config_path, str(src)], out=out)
         assert rc == 7
         assert "interrupted" in out.getvalue()
+
+    def test_stalled_session_exits_io(self, sim_config_path, tmp_path, monkeypatch):
+        # a peer that goes silent can leave every task waiting on the other
+        async def stuck(*args, **kwargs):
+            await Event().wait()
+
+        monkeypatch.setattr(cli, "run_sender", stuck)
+        src = tmp_path / "a.bin"
+        src.write_bytes(b"x")
+        out = io.StringIO()
+        rc = main(["send", "--sim-config", sim_config_path, str(src)], out=out)
+        assert rc == 6
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pcp: stalled"), lines
 
     def test_pcp_log_env_enables_debug_logging(self, sim_config_path):
         env = dict(os.environ, PCP_LOG="DEBUG")

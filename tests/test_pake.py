@@ -1,5 +1,7 @@
-"""The fixed-base comb, its pinned tables and the pinned blinding elements in pcp.pake."""
+"""The fixed-base comb, its pinned tables, the pinned blinding elements and
+the libgmp exponentiation in pcp.pake."""
 
+import ctypes
 import os
 import random
 import shutil
@@ -82,7 +84,9 @@ def test_damaged_table_file_stops_the_import(damage, message, tmp_path):
 
 def test_importing_the_cli_runs_no_exponentiation(tmp_path):
     # a fresh process, so that nothing is imported yet; the profiler sees
-    # every Python call and every call of a built-in
+    # every Python call and every call of a built-in. Importing must start no
+    # process either: subprocess is how one would be started, and
+    # ctypes.util.find_library would start ldconfig.
     code = """
 import builtins, sys
 calls = []
@@ -94,11 +98,52 @@ def watch(frame, event, arg):
 sys.setprofile(watch)
 import pcp.cli
 sys.setprofile(None)
+calls += [name for name in ("subprocess", "ctypes.util") if name in sys.modules]
 print(calls)
 """
     run = _python(code, SRC, tmp_path)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+needs_gmp = pytest.mark.skipif(
+    pake._pow is pow, reason="libgmp.so.10 does not load here, so _pow is the built-in pow"
+)
+
+GMP_RNG = random.Random(11)
+GMP_BASES = [0, 1, pake._P - 1, pake._P, 2 * pake._P + 3] + [
+    GMP_RNG.getrandbits(3072) for _ in range(8)
+]
+GMP_EXPONENTS = {
+    "1-bit": 1,
+    "32-bit": GMP_RNG.getrandbits(32) | 1 << 31,
+    "256-bit": GMP_RNG.getrandbits(256) | 1 << 255,
+    "Q": pake._Q,
+}
+
+
+@needs_gmp
+@pytest.mark.parametrize("exp", GMP_EXPONENTS.values(), ids=GMP_EXPONENTS)
+def test_gmp_pow_matches_pow(exp):
+    for base in GMP_BASES:
+        assert pake._pow(base, exp, pake._P) == pow(base, exp, pake._P), base
+
+
+@pytest.mark.parametrize(
+    "base, exp, mod",
+    [(5, 0, pake._P), (0, 0, pake._P), (pake._G, 7, 2 * pake._P), (7, 5, 1), (-3, 5, pake._P)],
+    ids=["exponent-0", "zero-to-the-0", "even-modulus", "modulus-1", "negative-base"],
+)
+def test_pow_outside_the_gmp_domain_matches_pow(base, exp, mod):
+    assert pake._pow(base, exp, mod) == pow(base, exp, mod)
+
+
+def test_gmp_loader_without_the_library_gives_no_binding(monkeypatch):
+    def missing(name, *args, **kwargs):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", missing)
+    assert pake._load_gmp_pow() is None
 
 
 def test_every_data_file_is_package_data():
@@ -168,3 +213,16 @@ def test_parties_from_the_same_bytes_share_nothing(monkeypatch):
     assert len(calls) == 2
     pake.PakeParty(PASSWORD, pake.ROLE_RESPONDER, BINDING, rng)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("role", ROLES)
+@pytest.mark.parametrize("seed", [0, 4])
+def test_party_bytes_do_not_depend_on_the_pow_provider(role, seed, monkeypatch):
+    def handshake():
+        party = pake.PakeParty(PASSWORD, role, BINDING, random.Random(seed))
+        peer = pake.PakeParty(PASSWORD, _other(role), BINDING, random.Random(seed + 50))
+        return party.message(), party.derive(peer.message())
+
+    provided = handshake()
+    monkeypatch.setattr(pake, "_pow", pow)
+    assert handshake() == provided
