@@ -12,14 +12,13 @@ The group is a 3072-bit prime-field Schnorr group (256-bit prime-order
 subgroup) from the published DSA-style parameter sets; the two blinding
 elements are nothing-up-my-sleeve values hashed from fixed seed strings
 into the subgroup, pinned here as literals (a test re-derives them).
-Exponentiations with a fixed base (G, M, N) use a Lim-Lee comb over
-tables that ship as package data and are checked against a pinned digest
-at import (a test rebuilds them). The two with a peer-chosen base (the
-subgroup check and the shared secret) run on the host's libgmp when
-libgmp.so.10 loads: GMP's mpz_powm_sec, a constant-time exponentiation, so
-the secret scalar x never goes through a variable-time pow there. Without
-the library, or for arguments outside mpz_powm_sec's domain, they use the
-built-in pow; both give the same integers.
+All five exponentiations of a side (G**x, blind**w, peer_blind**(q - w),
+the subgroup check and the shared secret) go through _pow. When
+libgmp.so.10 loads that is GMP's mpz_powm_sec, a constant-time
+exponentiation, so neither the secret scalar x nor the password scalar w
+goes through a variable-time pow there. Without the library, or for
+arguments outside mpz_powm_sec's domain, _pow is the built-in pow; both
+give the same integers.
 
 Two of each side's three fixed-base exponentiations depend on the password
 alone: its own blinding term blind**w and the peer's unblinding term
@@ -37,7 +36,6 @@ import ctypes
 import hashlib
 import random
 from collections.abc import Callable
-from importlib import resources
 
 from .errors import InvalidArgument, ProtocolError
 
@@ -191,72 +189,6 @@ _N = int(
     16,
 )
 
-# Lim-Lee fixed-base comb (HAC 14.6.3, one block per row): an exponent below
-# 2**256 is read as _COMB_ROWS rows of _COMB_COLS bits, and the table for a
-# base holds, for every subset of rows, the product of base**(2**(row * cols))
-# over that subset. One exponentiation is then _COMB_COLS squarings and at
-# most _COMB_COLS multiplications, against about 300 for pow. Each table has
-# 256 entries (about 110 KiB); building all three would cost about 45 ms, so
-# they ship prebuilt and no process start builds them.
-_COMB_ROWS = 8
-_COMB_COLS = 32
-_COMB_SIZE = 1 << _COMB_ROWS
-
-
-def _comb_table(base: int) -> list[int]:
-    """The definition of a table; only tests/test_pake.py calls it."""
-    table = [1]
-    row_base = base
-    for row in range(_COMB_ROWS):
-        if row:
-            row_base = _pow(row_base, 1 << _COMB_COLS, _P)
-        table += [entry * row_base % _P for entry in table]
-    return table
-
-
-# pcp/data/comb_tables.bin holds the tables of G, M and N in that order, each
-# entry as _comb_table lists it, ELEMENT_LEN big-endian bytes. A damaged file
-# stops the import: there is no second path that rebuilds the tables.
-_COMB_BASES = (_G, _M, _N)
-_COMB_FILE = "comb_tables.bin"
-_COMB_FILE_LEN = len(_COMB_BASES) * _COMB_SIZE * ELEMENT_LEN
-_COMB_FILE_SHA256 = "473333f07830ae36d09e71e0b4e4f880eb28a2b920a95178877af7e70c7776cd"
-
-
-def _load_comb_tables(raw: bytes) -> dict[int, list[int]]:
-    """Split the pinned table file into one table per base."""
-    if len(raw) != _COMB_FILE_LEN:
-        raise RuntimeError(f"pcp/data/{_COMB_FILE} has {len(raw)} bytes, not {_COMB_FILE_LEN}")
-    if hashlib.sha256(raw).hexdigest() != _COMB_FILE_SHA256:
-        raise RuntimeError(f"pcp/data/{_COMB_FILE} does not match its pinned SHA-256")
-    entries = [
-        int.from_bytes(raw[i : i + ELEMENT_LEN], "big") for i in range(0, _COMB_FILE_LEN, ELEMENT_LEN)
-    ]
-    return {
-        base: entries[k * _COMB_SIZE : (k + 1) * _COMB_SIZE] for k, base in enumerate(_COMB_BASES)
-    }
-
-
-_COMB_TABLES = _load_comb_tables(resources.files("pcp.data").joinpath(_COMB_FILE).read_bytes())
-
-
-def _fixed_pow(base: int, exp: int) -> int:
-    """``base ** exp mod P`` for base G, M or N and 0 <= exp < 2**256."""
-    if exp >> (_COMB_ROWS * _COMB_COLS):
-        raise ValueError("exponent outside the comb's 256 bits")
-    table = _COMB_TABLES[base]
-    rows = [exp >> (row * _COMB_COLS) for row in range(_COMB_ROWS)]
-    acc = 1
-    for col in range(_COMB_COLS - 1, -1, -1):
-        acc = acc * acc % _P
-        index = 0
-        for row in range(_COMB_ROWS):
-            index |= ((rows[row] >> col) & 1) << row
-        if index:
-            acc = acc * table[index] % _P
-    return acc
-
-
 def _password_scalar(password: bytes) -> int:
     digest = hashlib.sha256(b"pcp/pake/password:" + password).digest()
     return 1 + int.from_bytes(digest, "big") % (_Q - 1)
@@ -297,7 +229,7 @@ class PakePassword:
     def _power(self, base: int, exp: int) -> int:
         key = (base, exp)
         if key not in self._powers:
-            self._powers[key] = _fixed_pow(base, exp)
+            self._powers[key] = _pow(base, exp, _P)
         return self._powers[key]
 
     def blind(self, role: str) -> int:
@@ -329,7 +261,7 @@ class PakeParty:
         self.session_binding = session_binding
         self._password = password
         self._x = rng.randrange(1, _Q)
-        share = _fixed_pow(_G, self._x)
+        share = _pow(_G, self._x, _P)
         self._element = share * password.blind(role) % _P
         self._message = encode_element(self._element)
 

@@ -1,10 +1,9 @@
-"""The fixed-base comb, its pinned tables, the pinned blinding elements and
-the libgmp exponentiation in pcp.pake."""
+"""The pinned blinding elements, the libgmp exponentiation and the
+per-session key schedule in pcp.pake."""
 
 import ctypes
 import os
 import random
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,21 +16,16 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 BASES = {"G": pake._G, "M": pake._M, "N": pake._N}
-EDGE_EXPONENTS = [0, 1, pake._Q - 1, 2**256 - 1]
+EDGE_EXPONENTS = [1, pake._Q - 1, 2**256 - 1]
 RANDOM_EXPONENTS = [random.Random(5).randrange(pake._Q) for _ in range(50)]
 
 
 @pytest.mark.parametrize("name", BASES)
-def test_comb_matches_pow(name):
+def test_fixed_base_pow_matches_pow(name):
+    # on whichever provider loaded: libgmp here, or pow on a host without it
     base = BASES[name]
     for exp in EDGE_EXPONENTS + RANDOM_EXPONENTS:
-        assert pake._fixed_pow(base, exp) == pow(base, exp, pake._P), exp
-
-
-@pytest.mark.parametrize("exp", [-1, 2**256])
-def test_comb_refuses_exponents_outside_its_width(exp):
-    with pytest.raises(ValueError):
-        pake._fixed_pow(pake._G, exp)
+        assert pake._pow(base, exp, pake._P) == pow(base, exp, pake._P), exp
 
 
 @pytest.mark.parametrize(
@@ -45,16 +39,6 @@ def test_pinned_blinding_element_is_its_seed_derivation(name, seed):
     assert pow(element, pake._Q, pake._P) == 1
 
 
-@pytest.mark.parametrize("name", BASES)
-def test_pinned_comb_table_is_its_comb_table_derivation(name):
-    base = BASES[name]
-    loaded = pake._COMB_TABLES[base]
-    rebuilt = pake._comb_table(base)
-    assert len(loaded) == len(rebuilt) == 256
-    for index, (got, want) in enumerate(zip(loaded, rebuilt)):
-        assert got == want, index
-
-
 def _python(code, pythonpath, tmp_path):
     """Run ``code`` in a fresh interpreter that imports pcp from ``pythonpath``."""
     env = dict(os.environ, PYTHONPATH=str(pythonpath))
@@ -64,37 +48,20 @@ def _python(code, pythonpath, tmp_path):
     )
 
 
-@pytest.mark.parametrize(
-    "damage, message",
-    [
-        (lambda raw: raw[:-1], "294911 bytes, not 294912"),
-        (lambda raw: raw[:1000] + bytes([raw[1000] ^ 1]) + raw[1001:], "pinned SHA-256"),
-    ],
-    ids=["truncated", "one-byte-flipped"],
-)
-def test_damaged_table_file_stops_the_import(damage, message, tmp_path):
-    copy = tmp_path / "site"
-    shutil.copytree(SRC / "pcp", copy / "pcp", ignore=shutil.ignore_patterns("__pycache__"))
-    table_file = copy / "pcp" / "data" / "comb_tables.bin"
-    table_file.write_bytes(damage(table_file.read_bytes()))
-    run = _python("import pcp.pake", copy, tmp_path)
-    assert run.returncode != 0
-    assert "RuntimeError" in run.stderr and message in run.stderr
-
-
 def test_importing_the_cli_runs_no_exponentiation(tmp_path):
     # a fresh process, so that nothing is imported yet; the profiler sees
-    # every Python call and every call of a built-in. Importing must start no
-    # process either: subprocess is how one would be started, and
-    # ctypes.util.find_library would start ldconfig.
+    # every Python call and every call of a built-in, so it watches both
+    # providers of _pow: the built-in pow and the libgmp binding. Importing
+    # must start no process either: subprocess is how one would be started,
+    # and ctypes.util.find_library would start ldconfig.
     code = """
 import builtins, sys
 calls = []
 def watch(frame, event, arg):
     if event == "c_call" and arg is builtins.pow:
         calls.append("pow")
-    elif event == "call" and frame.f_code.co_name == "_comb_table":
-        calls.append("_comb_table")
+    elif event == "call" and frame.f_code.co_name == "gmp_pow":
+        calls.append("gmp_pow")
 sys.setprofile(watch)
 import pcp.cli
 sys.setprofile(None)
@@ -166,15 +133,17 @@ def _other(role):
     return pake.ROLE_RESPONDER if role == pake.ROLE_INITIATOR else pake.ROLE_INITIATOR
 
 
-def _count_fixed_pow(monkeypatch):
+def _count_fixed_base_pow(monkeypatch):
+    """Record the base of every _pow call whose base is G, M or N."""
     calls = []
-    real = pake._fixed_pow
+    real = pake._pow
 
-    def counting(base, exp):
-        calls.append(base)
-        return real(base, exp)
+    def counting(base, exp, mod):
+        if base in BASES.values():
+            calls.append(base)
+        return real(base, exp, mod)
 
-    monkeypatch.setattr(pake, "_fixed_pow", counting)
+    monkeypatch.setattr(pake, "_pow", counting)
     return calls
 
 
@@ -196,7 +165,7 @@ def test_party_from_shared_password_matches_party_from_bytes(role, seed):
 @pytest.mark.parametrize("role", ROLES)
 def test_shared_password_computes_its_two_values_once(role, monkeypatch):
     peer_message = pake.PakeParty(PASSWORD, _other(role), BINDING, random.Random(1)).message()
-    calls = _count_fixed_pow(monkeypatch)
+    calls = _count_fixed_base_pow(monkeypatch)
     shared = pake.PakePassword(PASSWORD)
     rng = random.Random(2)
     parties = [pake.PakeParty(shared, role, BINDING, rng) for _ in range(3)]
@@ -207,7 +176,7 @@ def test_shared_password_computes_its_two_values_once(role, monkeypatch):
 
 
 def test_parties_from_the_same_bytes_share_nothing(monkeypatch):
-    calls = _count_fixed_pow(monkeypatch)
+    calls = _count_fixed_base_pow(monkeypatch)
     rng = random.Random(3)
     pake.PakeParty(PASSWORD, pake.ROLE_RESPONDER, BINDING, rng)
     assert len(calls) == 2
@@ -226,3 +195,37 @@ def test_party_bytes_do_not_depend_on_the_pow_provider(role, seed, monkeypatch):
     provided = handshake()
     monkeypatch.setattr(pake, "_pow", pow)
     assert handshake() == provided
+
+
+@needs_gmp
+def test_every_exponentiation_of_a_handshake_runs_on_gmp(monkeypatch):
+    # mpz_powm_sec is the constant-time path: each of a side's five
+    # exponentiations, the three with a fixed base included, must reach it
+    calls = []
+    gmp_pow = pake._pow
+
+    def recording(base, exp, mod):
+        assert mod == pake._P
+        calls.append((base, exp))
+        return gmp_pow(base, exp, mod)
+
+    monkeypatch.setattr(pake, "_pow", recording)
+    initiator = pake.PakeParty(PASSWORD, pake.ROLE_INITIATOR, BINDING, random.Random(8))
+    responder = pake.PakeParty(PASSWORD, pake.ROLE_RESPONDER, BINDING, random.Random(9))
+    assert initiator.derive(responder.message()) == responder.derive(initiator.message())
+
+    P, Q, w = pake._P, pake._Q, pake._password_scalar(PASSWORD)
+
+    def side(party, blind, peer, peer_blind):
+        return [
+            (pake._G, party._x),
+            (blind, w),
+            (peer._element, Q),
+            (peer_blind, Q - w),
+            (peer._element * pow(peer_blind, Q - w, P) % P, party._x),
+        ]
+
+    i_calls = side(initiator, pake._M, responder, pake._N)
+    r_calls = side(responder, pake._N, initiator, pake._M)
+    # each party computes its share at construction, then derives
+    assert calls == i_calls[:2] + r_calls[:2] + i_calls[2:] + r_calls[2:]

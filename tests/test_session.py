@@ -395,19 +395,20 @@ class TestCollisionScenarios:
         # 3 pairs on one channel word run 8 handshakes (16 parties) for 6
         # sessions, so some sessions run several with one password
         parties = []
-        combs = []
-        real_init, real_fixed_pow = pake.PakeParty.__init__, pake._fixed_pow
+        fixed_base = []
+        real_init, real_pow = pake.PakeParty.__init__, pake._pow
 
         def counting_init(self, *args):
             parties.append(args[1])
             real_init(self, *args)
 
-        def counting_fixed_pow(base, exp):
-            combs.append((base, exp))
-            return real_fixed_pow(base, exp)
+        def counting_pow(base, exp, mod):
+            if base in (pake._G, pake._M, pake._N):
+                fixed_base.append((base, exp))
+            return real_pow(base, exp, mod)
 
         monkeypatch.setattr(pake.PakeParty, "__init__", counting_init)
-        monkeypatch.setattr(pake, "_fixed_pow", counting_fixed_pow)
+        monkeypatch.setattr(pake, "_pow", counting_pow)
         world = build_world(seed=16)
         cfg = world.config(discovery_deadline=40)
         phrases = self._same_channel_passphrases(3, seed=6)
@@ -426,12 +427,12 @@ class TestCollisionScenarios:
 
         outcomes = world.kernel.run(main())
         assert [o.status for o in outcomes] == ["completed"] * 6
-        password_values = [c for c in combs if c[0] != pake._G]
+        password_values = [c for c in fixed_base if c[0] != pake._G]
         # no password value is computed twice: each of the 6 sessions uses
         # at most its own blinding and unblinding term
         assert len(set(password_values)) == len(password_values) <= 2 * 6
-        assert len(combs) == len(parties) + len(password_values)
-        assert (len(parties), len(password_values), len(combs)) == (16, 12, 28)
+        assert len(fixed_base) == len(parties) + len(password_values)
+        assert (len(parties), len(password_values), len(fixed_base)) == (16, 12, 28)
 
 
 class TestSlotHelpers:
