@@ -244,7 +244,6 @@ class SecureChannel:
         self._recv_counter = 0
         self.aborted = False
         self.frames_sealed = 0
-        self.frames_opened = 0
 
     @staticmethod
     def _nonce(counter: int) -> bytes:
@@ -290,7 +289,6 @@ class SecureChannel:
             self.abort()
             raise DecryptError("frame failed authentication; channel aborted") from None
         self._recv_counter += 1
-        self.frames_opened += 1
         return pt
 
     async def send(self, plaintext: bytes) -> None:

@@ -22,7 +22,7 @@ import sys
 import tempfile
 
 from . import kernel as ker
-from .errors import PassphraseParseError, PcpError
+from .errors import InvalidArgument, PassphraseParseError
 from .passphrase import DEFAULT_WORD_COUNT
 from .session import run_receiver, run_sender
 from .simworld import SimWorld
@@ -46,6 +46,12 @@ EXIT_IO = 6
 EXIT_INTERRUPTED = 7
 
 CODE_PREFIX = "Code is: "
+
+
+def _byte_count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a whole number of bytes, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sim-config", metavar="F", required=True)
     p_sim.add_argument("--scenario", metavar="S", default="transfer",
                        help="scenario name (available: transfer)")
-    p_sim.add_argument("--size", type=int, default=65536,
+    p_sim.add_argument("--size", type=_byte_count, default=65536,
                        help="payload size in bytes for the transfer scenario")
     return parser
 
@@ -103,15 +109,14 @@ def _human(n: float) -> str:
         if n < 1024 or unit == "GiB":
             return f"{n:.0f} {unit}" if unit == "B" else f"{n:.1f} {unit}"
         n /= 1024
-    return f"{n:.1f} GiB"
 
 
 class _ProgressPrinter:
     """Monotone progress display; prints 100% exactly once, newline-terminated."""
 
-    def __init__(self, out, clock):
+    def __init__(self, out, kernel: ker.Kernel):
         self.out = out
-        self.clock = clock
+        self.kernel = kernel
         self.started_at: float | None = None
         self.last_line = ""
         self.finished = False
@@ -120,8 +125,8 @@ class _ProgressPrinter:
         if self.finished:
             return
         if self.started_at is None:
-            self.started_at = self.clock.now()
-        line = render_progress(bytes_done, total, self.clock.now() - self.started_at)
+            self.started_at = self.kernel.now()
+        line = render_progress(bytes_done, total, self.kernel.now() - self.started_at)
         if line == self.last_line:
             return
         self.last_line = line
@@ -160,13 +165,9 @@ async def send_command(args, world: SimWorld, out) -> int:
     overrides = {}
     if args.word_count is not None:
         overrides["word_count"] = args.word_count
-    try:
-        config = world.session_config(**overrides)
-    except (PcpError, ValueError) as e:
-        print(f"pcp: {e}", file=out)
-        return EXIT_USAGE
+    config = world.session_config(**overrides)
     node = world.new_node()
-    progress = _ProgressPrinter(out, world.kernel.clock)
+    progress = _ProgressPrinter(out, world.kernel)
     outcome = await run_sender(
         node,
         config,
@@ -182,26 +183,18 @@ async def send_command(args, world: SimWorld, out) -> int:
 
 async def receive_command(args, world: SimWorld, out) -> int:
     decide = _make_decider(args, out)
-    try:
-        config = world.session_config()
-    except (PcpError, ValueError) as e:
-        print(f"pcp: {e}", file=out)
-        return EXIT_USAGE
+    config = world.session_config()
     node = world.new_node()
-    progress = _ProgressPrinter(out, world.kernel.clock)
-    try:
-        outcome = await run_receiver(
-            node,
-            config,
-            args.words,
-            dest_dir=args.dir,
-            decide=decide,
-            progress=progress,
-            rng=world.kernel.rng("receiver"),
-        )
-    except PassphraseParseError as e:
-        print(f"pcp: bad passphrase: {e}", file=out)
-        return EXIT_USAGE
+    progress = _ProgressPrinter(out, world.kernel)
+    outcome = await run_receiver(
+        node,
+        config,
+        args.words,
+        dest_dir=args.dir,
+        decide=decide,
+        progress=progress,
+        rng=world.kernel.rng("receiver"),
+    )
     progress.finish()
     if outcome.path:
         print(f"pcp: saved to {outcome.path}", file=out)
@@ -308,7 +301,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
     try:
         world = SimWorld.load(args.sim_config)
-    except (OSError, PcpError, ValueError) as e:
+    except (OSError, ValueError) as e:  # InvalidArgument is a ValueError
         print(f"pcp: cannot load sim config: {e}", file=out)
         return EXIT_USAGE
 
@@ -335,6 +328,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_IO
     except PassphraseParseError as e:
         print(f"pcp: bad passphrase: {e}", file=out)
+        return EXIT_USAGE
+    except InvalidArgument as e:
+        print(f"pcp: {e}", file=out)
         return EXIT_USAGE
 
 

@@ -32,10 +32,9 @@ class ProviderRecord:
     content_key: bytes
     provider: PeerAddress
     published_at: float
-    ttl: float = DEFAULT_TTL
 
     def live(self, now: float) -> bool:
-        return self.published_at + self.ttl > now
+        return self.published_at + DEFAULT_TTL > now
 
 
 class ProviderStream:
@@ -122,7 +121,7 @@ class DiscoveryBackend:
         if not self.started:
             raise BackendUnavailable(f"{self.name} is stopped")
 
-    async def provide(self, node: SimNode, key: bytes, ttl: float = DEFAULT_TTL):
+    async def provide(self, node: SimNode, key: bytes):
         raise NotImplementedError
 
     def find_providers(self, node: SimNode, key: bytes, deadline: float) -> ProviderStream:
@@ -151,7 +150,7 @@ class SimulatedDht(DiscoveryBackend):
         super().__init__(network, **timing)
         self._records: dict[bytes, dict[str, ProviderRecord]] = {}
 
-    async def provide(self, node: SimNode, key: bytes, ttl: float = DEFAULT_TTL):
+    async def provide(self, node: SimNode, key: bytes):
         self._check_started()
         await ker.sleep(self._latency.draw(self._rng))
         if not self.network.wan_reachable(node):
@@ -159,10 +158,11 @@ class SimulatedDht(DiscoveryBackend):
                 "provide_lost", backend="dht", node=node.address.short(), key=key.hex()[:16]
             )
             return
-        record = ProviderRecord(key, node.address, self.kernel.now(), ttl)
+        record = ProviderRecord(key, node.address, self.kernel.now())
         self._records.setdefault(key, {})[node.address.peer_id] = record
         self.network.trace.emit(
-            "provide", backend="dht", node=node.address.short(), key=key.hex()[:16], ttl=ttl
+            "provide", backend="dht", node=node.address.short(), key=key.hex()[:16],
+            ttl=DEFAULT_TTL,
         )
 
     async def _query_once(self, node: SimNode, key: bytes) -> list[PeerAddress]:
@@ -206,10 +206,10 @@ class SimulatedMdns(DiscoveryBackend):
             if link.up:
                 yield link
 
-    async def provide(self, node: SimNode, key: bytes, ttl: float = DEFAULT_TTL):
-        await self.local_advertise(node, key, ttl)
+    async def provide(self, node: SimNode, key: bytes):
+        await self.local_advertise(node, key)
 
-    async def local_advertise(self, node: SimNode, key: bytes, ttl: float = DEFAULT_TTL):
+    async def local_advertise(self, node: SimNode, key: bytes):
         """The body of ``provide``: announce on every live local link.
 
         Kept under its own name because the benchmark's span tracer
@@ -218,7 +218,7 @@ class SimulatedMdns(DiscoveryBackend):
         """
         self._check_started()
         await ker.sleep(self._latency.draw(self._rng))
-        record = ProviderRecord(key, node.address, self.kernel.now(), ttl)
+        record = ProviderRecord(key, node.address, self.kernel.now())
         for link in self._local_links(node):
             table = self._ads.setdefault(link.link_id, {}).setdefault(key, {})
             table[node.address.peer_id] = record

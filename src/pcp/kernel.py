@@ -50,31 +50,15 @@ class KernelDeadlock(RuntimeError):
     """No runnable work remains but the main task has not finished."""
 
 
-class VirtualClock:
-    """Monotonic virtual time in unix seconds."""
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: float):
-        self._now = float(start)
-
-    def now(self) -> float:
-        return self._now
-
-    def _advance(self, t: float) -> None:
-        if t > self._now:
-            self._now = t
-
-
 class TraceLog:
     """Append-only structured event log; hashable for determinism checks."""
 
-    def __init__(self, clock: VirtualClock):
-        self._clock = clock
+    def __init__(self, kernel: "Kernel"):
+        self._kernel = kernel
         self.events: list[dict] = []
 
     def emit(self, kind: str, **detail: Any) -> None:
-        event = {"i": len(self.events), "t": round(self._clock.now(), 6), "event": kind}
+        event = {"i": len(self.events), "t": round(self._kernel.now(), 6), "event": kind}
         event.update(detail)
         self.events.append(event)
         if logger.isEnabledFor(logging.DEBUG):
@@ -167,12 +151,12 @@ class Task:
 
 
 class Kernel:
-    """Owns the clock, the run queue, the trace log, and seeded RNG streams."""
+    """Owns virtual time (unix seconds), the run queue, the trace log, and seeded RNG streams."""
 
     def __init__(self, seed: int = 0, start_time: float = DEFAULT_START_TIME):
         self.seed = seed
-        self.clock = VirtualClock(start_time)
-        self.trace = TraceLog(self.clock)
+        self._now = float(start_time)
+        self.trace = TraceLog(self)
         self.current_task: Task | None = None
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
@@ -195,10 +179,10 @@ class Kernel:
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (max(when, self.clock.now()), self._seq, fn))
+        heapq.heappush(self._heap, (max(when, self._now), self._seq, fn))
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        self.call_at(self.clock.now() + delay, fn)
+        self.call_at(self._now + delay, fn)
 
     def spawn(self, coro: Coroutine, name: str | None = None) -> Task:
         task = Task(self, coro, name)
@@ -208,7 +192,7 @@ class Kernel:
     def _push_resume(
         self, task: Task, value: Any = None, exc: BaseException | None = None
     ) -> None:
-        self.call_at(self.clock.now(), lambda: self._step(task, value, exc))
+        self.call_at(self._now, lambda: self._step(task, value, exc))
 
     def _wake(self, task: Task, park_seq: int, value: Any) -> bool:
         """Wake a parked task if it is still in the same park; else no-op."""
@@ -285,8 +269,8 @@ class Kernel:
                     raise KernelDeadlock(
                         f"no runnable work but {main.name} has not finished"
                     )
-                when, _, fn = heapq.heappop(self._heap)
-                self.clock._advance(when)
+                # call_at never schedules in the past, so time never moves back
+                self._now, _, fn = heapq.heappop(self._heap)
                 fn()
         finally:
             self._running = False
@@ -304,7 +288,7 @@ class Kernel:
         return main.result
 
     def now(self) -> float:
-        return self.clock.now()
+        return self._now
 
 
 _current_kernel: Kernel | None = None
@@ -317,7 +301,7 @@ def current_kernel() -> Kernel:
 
 
 def current_time() -> float:
-    return current_kernel().clock.now()
+    return current_kernel().now()
 
 
 def spawn(coro: Coroutine, name: str | None = None) -> Task:
@@ -403,9 +387,6 @@ class Queue:
     def __init__(self) -> None:
         self._items: deque = deque()
         self._waiters: deque[tuple[Task, int]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def put(self, item: Any) -> None:
         self._items.append(item)

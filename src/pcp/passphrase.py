@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidArgument, PassphraseParseError
-from .wordlist import Wordlist, load_wordlist
+from .wordlist import load_wordlist
 
 SEPARATOR = "-"
 MIN_WORDS = 2  # one channel word plus at least one secret word
@@ -74,7 +74,6 @@ def parse_passphrase(text: str) -> Passphrase:
     return Passphrase(tuple(tokens))
 
 
-def channel_id(p: Passphrase, wordlist: Wordlist | None = None) -> int:
+def channel_id(p: Passphrase) -> int:
     """Wordlist index of the first word; selects the rendezvous channel."""
-    wl = wordlist if wordlist is not None else load_wordlist()
-    return wl.index_of(p.words[0])
+    return load_wordlist().index_of(p.words[0])

@@ -83,9 +83,9 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         if not self.backends:
-            raise ValueError("at least one discovery backend is required")
+            raise InvalidArgument("at least one discovery backend is required")
         if self.word_count < MIN_WORDS:
-            raise ValueError(f"word_count must be >= {MIN_WORDS}, got {self.word_count}")
+            raise InvalidArgument(f"word_count must be >= {MIN_WORDS}, got {self.word_count}")
 
 
 @dataclass

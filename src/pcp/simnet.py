@@ -40,9 +40,7 @@ class LatencyRange:
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: float, hi: float | None = None):
-        if hi is None:
-            hi = lo
+    def __init__(self, lo: float, hi: float):
         if lo < 0 or hi < lo:
             raise InvalidArgument(f"bad latency range ({lo}, {hi})")
         self.lo = lo

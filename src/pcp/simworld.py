@@ -16,12 +16,15 @@ backends exist, and the discovery deadline. Example:
     }
 
 Every field is optional; the defaults give one LAN plus wan routing with
-both backends enabled.
+both backends enabled. A value of the wrong JSON type, a link name that
+``node_links`` does not know, or a discovery deadline that is not a
+positive number raises InvalidArgument while the world is loaded.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -29,28 +32,32 @@ from .discovery import DiscoveryBackend, SimulatedDht, SimulatedMdns
 from .errors import InvalidArgument
 from .kernel import DEFAULT_START_TIME, Kernel
 from .session import SessionConfig
-from .simnet import DEFAULT_LAN_LATENCY, DEFAULT_WAN_LATENCY, SimNode, SimulatedNetwork
+from .simnet import DEFAULT_LAN_LATENCY, DEFAULT_WAN_LATENCY, WAN_LINK, SimNode, SimulatedNetwork
 
 
-def _ms_pair(value: Any, fallback: tuple[float, float] | None = None) -> tuple[float, float]:
+def _number(value: Any, what: str) -> float:
+    """A JSON number as a finite float; true and false are not numbers here."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max  # NaN is not
+    if not finite or isinstance(value, bool):
+        raise InvalidArgument(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _latency(spec: dict, key: str, where: str, fallback=None) -> tuple[float, float] | None:
+    """``spec[key]`` in ms, one number or a [lo, hi] pair, as seconds; absent or null: fallback."""
+    value = spec.get(key)
     if value is None:
         return fallback
-    if isinstance(value, (int, float)):
-        return (value / 1000.0, value / 1000.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        lo, hi = float(value[0]) / 1000.0, float(value[1]) / 1000.0
-        return (lo, hi)
-    raise InvalidArgument(f"latency must be a number or [lo, hi] pair, got {value!r}")
+    pair = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, value)
+    return tuple(_number(ms, f"{where}.{key}") / 1000.0 for ms in pair)
 
 
-def _backend_timing(spec: dict) -> dict:
-    """The timing a backend spec sets; the backend's own defaults fill the rest."""
-    timing = {}
-    if spec.get("op_latency_ms") is not None:
-        timing["op_latency"] = _ms_pair(spec["op_latency_ms"])
-    if spec.get("query_interval_ms") is not None:
-        timing["query_interval"] = float(spec["query_interval_ms"]) / 1000.0
-    return timing
+def _backend_timing(spec: dict, name: str) -> dict:
+    """The timing a backend spec sets; None leaves the backend's own default."""
+    interval = spec.get("query_interval_ms")
+    if interval is not None:
+        interval = _number(interval, f"{name}.query_interval_ms") / 1000.0
+    return {"op_latency": _latency(spec, "op_latency_ms", name), "query_interval": interval}
 
 
 @dataclass
@@ -64,10 +71,27 @@ class SimConfig:
     node_links: list[str] = field(default_factory=list)
     discovery_deadline: float = SessionConfig.discovery_deadline
 
+    def __post_init__(self) -> None:
+        """Check each field's JSON type; SimWorld checks the values inside as it reads them."""
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise InvalidArgument(f"seed must be an integer, got {self.seed!r}")
+        _number(self.start_time, "start_time")
+        if not isinstance(self.links, dict) or not all(
+            isinstance(spec, dict) for spec in self.links.values()
+        ):
+            raise InvalidArgument(f"links must be an object of objects, got {self.links!r}")
+        for name, spec in (("wan", self.wan), ("dht", self.dht), ("mdns", self.mdns)):
+            if not isinstance(spec, (dict, type(None))):
+                raise InvalidArgument(f"{name} must be an object or null, got {spec!r}")
+        known = [*self.links, *([WAN_LINK] if self.wan is not None else [])]
+        if not (isinstance(self.node_links, list) and all(n in known for n in self.node_links)):
+            raise InvalidArgument(f"node_links must name links in {known}, got {self.node_links!r}")
+        if _number(self.discovery_deadline, "discovery_deadline") <= 0:
+            raise InvalidArgument(f"discovery_deadline must be > 0, got {self.discovery_deadline}")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidArgument(f"unknown sim config fields: {sorted(unknown)}")
         return cls(**doc)
@@ -75,7 +99,10 @@ class SimConfig:
     @classmethod
     def from_file(cls, path: str) -> "SimConfig":
         with open(path) as f:
-            doc = json.load(f)
+            try:
+                doc = json.load(f)
+            except RecursionError:
+                raise InvalidArgument("sim config is nested too deeply") from None
         if not isinstance(doc, dict):
             raise InvalidArgument("sim config must be a JSON object")
         return cls.from_dict(doc)
@@ -87,23 +114,23 @@ class SimWorld:
     def __init__(self, config: SimConfig):
         self.config = config
         self.kernel = Kernel(seed=config.seed, start_time=config.start_time)
-        wan_spec = config.wan
         self.network = SimulatedNetwork(
             self.kernel,
-            wan=wan_spec is not None,
-            wan_latency=_ms_pair((wan_spec or {}).get("latency_ms"), DEFAULT_WAN_LATENCY),
+            wan=config.wan is not None,
+            wan_latency=_latency(config.wan or {}, "latency_ms", "wan", DEFAULT_WAN_LATENCY),
         )
         for link_id, spec in config.links.items():
+            where = f"links.{link_id}"
             self.network.create_link(
                 link_id,
-                latency=_ms_pair(spec.get("latency_ms"), DEFAULT_LAN_LATENCY),
-                loss=float(spec.get("loss", 0.0)),
+                latency=_latency(spec, "latency_ms", where, DEFAULT_LAN_LATENCY),
+                loss=_number(spec.get("loss", 0.0), f"{where}.loss"),
             )
         self.backends: list[DiscoveryBackend] = []
         if config.dht is not None:
-            self.backends.append(SimulatedDht(self.network, **_backend_timing(config.dht)))
+            self.backends.append(SimulatedDht(self.network, **_backend_timing(config.dht, "dht")))
         if config.mdns is not None:
-            self.backends.append(SimulatedMdns(self.network, **_backend_timing(config.mdns)))
+            self.backends.append(SimulatedMdns(self.network, **_backend_timing(config.mdns, "mdns")))
         if not self.backends:
             raise InvalidArgument("sim config disables every discovery backend")
 

@@ -39,6 +39,7 @@ CHUNK_HEADER_LEN = 9  # sub-type byte and 8-byte offset
 DEFAULT_CHUNK_SIZE = 65536
 MAX_CHUNK_SIZE = MAX_PLAINTEXT - CHUNK_HEADER_LEN  # 8 MiB
 MAX_NAME_BYTES = 255
+DECISION_TIMEOUT = 60.0  # seconds the receiver's decision may take; silence is a no
 
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -128,7 +129,7 @@ class TransferOutcome:
     path: str | None = field(default=None)  # receiver side: final destination
 
 
-def manifest_for_file(path: str, chunk_size: int = DEFAULT_CHUNK_SIZE) -> TransferManifest:
+def manifest_for_file(path: str) -> TransferManifest:
     """Pre-pass over the file: size and whole-body SHA-256.
 
     The read buffer is sized to the file, at most 1 MiB and at least one
@@ -146,7 +147,6 @@ def manifest_for_file(path: str, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Transf
         name=os.path.basename(path),
         size=size,
         sha256_hex=h.hexdigest(),
-        chunk_size=chunk_size,
     )
 
 
@@ -231,18 +231,14 @@ async def send_file(
 # -- receiver side ------------------------------------------------------------
 
 
-async def await_confirmation(
-    manifest: TransferManifest,
-    decide: DecideFn | None,
-    timeout: float,
-) -> bool:
-    """Ask the decision source; anything but a timely yes is a no."""
+async def await_confirmation(manifest: TransferManifest, decide: DecideFn | None) -> bool:
+    """Ask the decision source; anything but a yes within DECISION_TIMEOUT is a no."""
     if decide is None:
         return False
     try:
-        return bool(await wait_for(decide(manifest), timeout))
+        return bool(await wait_for(decide(manifest), DECISION_TIMEOUT))
     except WaitTimeout:
-        logger.info("confirmation timed out after %.0fs; rejecting", timeout)
+        logger.info("confirmation timed out after %.0fs; rejecting", DECISION_TIMEOUT)
         return False
 
 
@@ -268,7 +264,6 @@ async def receive_file(
     chan: SecureChannel,
     decide: DecideFn | None,
     dest_dir: str,
-    decision_timeout: float = 60.0,
     progress: ProgressFn | None = None,
     on_accept: Callable[[], None] | None = None,
 ) -> TransferOutcome:
@@ -288,7 +283,7 @@ async def receive_file(
             raise ProtocolError("expected manifest first")
         manifest = TransferManifest.decode(payload)
 
-        if not await await_confirmation(manifest, decide, decision_timeout):
+        if not await await_confirmation(manifest, decide):
             await chan.send(_app_frame(SUB_REJECT))
             await chan.close()
             return TransferOutcome(STATUS_REJECTED, 0, reason="declined")

@@ -94,6 +94,49 @@ class TestUsage:
         assert main(["send", "--sim-config", str(f), str(src)], out=out) == 2
 
 
+# each of these once ended in a Python traceback instead of a usage error
+MALFORMED_SIM_CONFIGS = {
+    "links-list": '{"links": []}',
+    "link-list": '{"links": {"lan0": []}}',
+    "wan-number": '{"wan": 5}',
+    "dht-number": '{"dht": 5}',
+    "mdns-list": '{"mdns": []}',
+    "deadline-string": '{"discovery_deadline": "x"}',
+    "node-links-string": '{"node_links": "lan0"}',
+    "node-links-unknown": '{"node_links": ["nope"]}',
+    "nested-too-deep": "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize(
+    "config_text, args",
+    [(text, ["send"]) for text in MALFORMED_SIM_CONFIGS.values()]
+    + [(None, ["simulate", "--size", "-1"])],
+    ids=[*MALFORMED_SIM_CONFIGS, "simulate-negative-size"],
+)
+def test_malformed_input_exits_2_with_one_line(config_text, args, sim_config_path, tmp_path):
+    config = sim_config_path
+    if config_text is not None:
+        config = tmp_path / "bad.json"
+        config.write_text(config_text)
+    src = tmp_path / "a.bin"
+    src.write_bytes(b"x")
+    argv = [args[0], "--sim-config", str(config), *args[1:]]
+    if args[0] == "send":
+        argv.append(str(src))
+    result = subprocess.run(
+        [sys.executable, "-m", "pcp", *argv], capture_output=True, text=True, timeout=60
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 2, output
+    assert "Traceback" not in output
+    # argparse names the subcommand in its error line: "pcp simulate: error: ..."
+    lines = [line for line in output.splitlines() if line.startswith("pcp")]
+    assert len(lines) == 1, output
+    if config_text is not None:
+        assert lines[0].startswith("pcp: cannot load sim config: "), output
+
+
 class TestSendAlone:
     def test_prints_four_word_code_then_times_out(self, sim_config_path, tmp_path):
         src = tmp_path / "a.bin"

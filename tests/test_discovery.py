@@ -47,12 +47,12 @@ def test_record_expires_after_ttl():
 
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
-        await dht.provide(a, K1, ttl=1.0)
-        await sleep(2.0)
+        await dht.provide(a, K1)
+        await sleep(DEFAULT_TTL + 1.0)
         assert await collect(dht.find_providers(b, K1, deadline=0.5)) == []
         # never reappears unless re-provided
         assert await collect(dht.find_providers(b, K1, deadline=0.5)) == []
-        await dht.provide(a, K1, ttl=1.0)
+        await dht.provide(a, K1)
         found = await collect(dht.find_providers(b, K1, deadline=0.5))
         assert len(found) == 1
 
@@ -64,10 +64,10 @@ def test_reprovide_refreshes_publish_time():
 
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
-        await dht.provide(a, K1, ttl=2.0)
-        await sleep(1.5)
-        await dht.provide(a, K1, ttl=2.0)  # refresh
-        await sleep(1.0)  # 2.5s after first publish, 1s after refresh
+        await dht.provide(a, K1)
+        await sleep(0.75 * DEFAULT_TTL)
+        await dht.provide(a, K1)  # refresh
+        await sleep(0.5 * DEFAULT_TTL)  # 1.25 TTLs after first publish, 0.5 after refresh
         found = await collect(dht.find_providers(b, K1, deadline=0.5))
         assert len(found) == 1
 

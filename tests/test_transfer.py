@@ -95,11 +95,11 @@ class TestManifest:
         payload = random.Random(3).randbytes(100_000)
         p = tmp_path / "data.bin"
         p.write_bytes(payload)
-        m = manifest_for_file(str(p), chunk_size=4096)
+        m = manifest_for_file(str(p))
         assert m.size == 100_000
         assert m.sha256_hex == hashlib.sha256(payload).hexdigest()
         assert m.name == "data.bin"
-        assert m.chunk_size == 4096
+        assert m.chunk_size == transfer.DEFAULT_CHUNK_SIZE
 
     def test_small_file_is_hashed_with_a_small_buffer(self, tmp_path):
         p = tmp_path / "small.bin"
@@ -175,11 +175,11 @@ async def reject_all(manifest):
 
 
 async def _yes_after_the_timeout(manifest):
-    await sleep(10)
+    await sleep(transfer.DECISION_TIMEOUT + 10)
     return True
 
 
-def _run_transfer(payload: bytes, tmp_path, decide=accept_all, chunk_size=65536, seed=0):
+def _run_transfer(payload: bytes, tmp_path, decide=accept_all, seed=0):
     fx = _ChannelFixture(seed=seed)
     src = tmp_path / "src.bin"
     src.write_bytes(payload)
@@ -187,8 +187,8 @@ def _run_transfer(payload: bytes, tmp_path, decide=accept_all, chunk_size=65536,
 
     async def main():
         chan_s, chan_r = await fx.channels()
-        st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src), chunk_size)))
-        rt = spawn(receive_file(chan_r, decide, dest, decision_timeout=60))
+        st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
+        rt = spawn(receive_file(chan_r, decide, dest))
         return await st.join(), await rt.join(), chan_s
 
     s_out, r_out, chan_s = fx.kernel.run(main())
@@ -299,7 +299,7 @@ class TestEndToEnd:
             chan_s, chan_r = await fx.channels()
             st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
             rt = spawn(receive_file(
-                chan_r, decide, str(tmp_path / "inbox"), decision_timeout=5,
+                chan_r, decide, str(tmp_path / "inbox"),
                 on_accept=lambda: seen.append(chan_r.frames_sealed),
             ))
             return await st.join(), await rt.join()
