@@ -14,10 +14,15 @@ elements are nothing-up-my-sleeve values hashed from fixed seed strings
 into the subgroup, pinned here as literals (a test re-derives them).
 All five exponentiations of a side (G**x, blind**w, peer_blind**(q - w),
 the subgroup check and the shared secret) go through _pow. When
-libgmp.so.10 loads that is GMP's mpz_powm_sec, a constant-time
-exponentiation, so neither the secret scalar x nor the password scalar w
-goes through a variable-time pow there. Without the library, or for
-arguments outside mpz_powm_sec's domain, _pow is the built-in pow; both
+OpenSSL's libcrypto.so.3 loads (the library CPython's own ssl and hashlib
+use) that is BN_mod_exp_mont_consttime, a constant-time exponentiation,
+with one Montgomery context for P built at import, so neither the secret
+scalar x nor the password scalar w goes through a variable-time pow there.
+It replaced libgmp.so.10's mpz_powm_sec: for a 256-bit exponent on a
+2-vCPU x86-64 VM a call takes 0.86-1.14 ms against 1.26-1.62 ms on libgmp
+and 8-12 ms on the built-in pow, and a fresh handshake pair 10.8-11.6 ms
+against 14.8-15.7 ms. Without the library, or for any other modulus, a
+non-positive exponent or a negative base, _pow is the built-in pow; both
 give the same integers.
 
 Two of each side's three fixed-base exponentiations depend on the password
@@ -39,68 +44,6 @@ from collections.abc import Callable
 
 from .errors import InvalidArgument, ProtocolError
 
-
-class _Mpz(ctypes.Structure):
-    """GMP's __mpz_struct: allocated limbs, signed used limbs, limb pointer."""
-
-    _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("limbs", ctypes.c_void_p)]
-
-
-def _load_gmp_pow() -> Callable[[int, int, int], int] | None:
-    """Bind libgmp's mpz_powm_sec as a pow(base, exp, mod), or None without it.
-
-    The library is opened by its soname: ctypes.util.find_library would
-    start ldconfig in a child process at import.
-    """
-    try:
-        gmp = ctypes.CDLL("libgmp.so.10")
-    except OSError:
-        return None
-    mpz_p = ctypes.POINTER(_Mpz)
-    size_t = ctypes.c_size_t
-    init, clear = gmp.__gmpz_init, gmp.__gmpz_clear
-    init.argtypes = clear.argtypes = [mpz_p]
-    init.restype = clear.restype = None
-    mpz_import = gmp.__gmpz_import
-    mpz_import.argtypes = [
-        mpz_p, size_t, ctypes.c_int, size_t, ctypes.c_int, size_t, ctypes.c_char_p
-    ]
-    mpz_import.restype = None
-    mpz_export = gmp.__gmpz_export
-    mpz_export.argtypes = [
-        ctypes.c_char_p, ctypes.POINTER(size_t), ctypes.c_int, size_t, ctypes.c_int, size_t, mpz_p
-    ]
-    mpz_export.restype = ctypes.c_void_p
-    powm_sec = gmp.__gmpz_powm_sec
-    powm_sec.argtypes = [mpz_p, mpz_p, mpz_p, mpz_p]
-    powm_sec.restype = None
-
-    def gmp_pow(base: int, exp: int, mod: int) -> int:
-        # mpz_powm_sec needs exp > 0 and an odd modulus; an imported mpz
-        # carries no sign, so a negative base stays with pow as well
-        if exp <= 0 or mod <= 1 or not mod & 1 or base < 0:
-            return pow(base, exp, mod)
-        result, *operands = (_Mpz() for _ in range(4))
-        for z in (result, *operands):
-            init(z)
-        try:
-            for z, value in zip(operands, (base, exp, mod)):
-                raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
-                # count bytes of 1 byte each, most significant first, no nails
-                mpz_import(z, len(raw), 1, 1, 1, 0, raw)
-            powm_sec(result, *operands)
-            out = ctypes.create_string_buffer((mod.bit_length() + 7) // 8)
-            written = size_t()
-            mpz_export(out, ctypes.byref(written), 1, 1, 1, 0, result)
-            return int.from_bytes(out.raw[: written.value], "big")
-        finally:
-            for z in (result, *operands):
-                clear(z)
-
-    return gmp_pow
-
-
-_pow = _load_gmp_pow() or pow
 
 ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
@@ -141,6 +84,80 @@ _G = int(
 _COFACTOR = (_P - 1) // _Q
 
 ELEMENT_LEN = (_P.bit_length() + 7) // 8  # 384 bytes
+
+
+def _load_openssl_pow() -> Callable[[int, int, int], int] | None:
+    """Bind libcrypto's BN_mod_exp_mont_consttime as a pow(base, exp, mod), or None.
+
+    The library is opened by its soname: ctypes.util.find_library would
+    start ldconfig in a child process at import. The Montgomery context
+    for _P is built here, once; every other modulus goes to pow.
+    """
+    try:
+        crypto = ctypes.CDLL("libcrypto.so.3")
+    except OSError:
+        return None
+    ptr, c_int = ctypes.c_void_p, ctypes.c_int
+
+    def bind(name, restype, *argtypes):
+        fn = getattr(crypto, name)
+        fn.restype, fn.argtypes = restype, list(argtypes)
+        return fn
+
+    bin2bn = bind("BN_bin2bn", ptr, ctypes.c_char_p, c_int, ptr)
+    bn2binpad = bind("BN_bn2binpad", c_int, ptr, ctypes.c_char_p, c_int)
+    bn_new = bind("BN_new", ptr)
+    clear_free = bind("BN_clear_free", None, ptr)
+    ctx_new = bind("BN_CTX_new", ptr)
+    ctx_free = bind("BN_CTX_free", None, ptr)
+    mont_new = bind("BN_MONT_CTX_new", ptr)
+    mont_set = bind("BN_MONT_CTX_set", c_int, ptr, ptr, ptr)
+    exp_consttime = bind("BN_mod_exp_mont_consttime", c_int, ptr, ptr, ptr, ptr, ptr, ptr)
+
+    def checked(value, call: str):
+        if not value:
+            raise RuntimeError(f"libcrypto {call} failed")
+        return value
+
+    def to_bn(value: int) -> int:
+        raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+        return checked(bin2bn(raw, len(raw), None), "BN_bin2bn")
+
+    # the modulus and its Montgomery context live as long as the process
+    modulus, mont = to_bn(_P), checked(mont_new(), "BN_MONT_CTX_new")
+    ctx = checked(ctx_new(), "BN_CTX_new")
+    try:
+        checked(mont_set(mont, modulus, ctx), "BN_MONT_CTX_set")
+    finally:
+        ctx_free(ctx)
+
+    def openssl_pow(base: int, exp: int, mod: int) -> int:
+        # BN_bin2bn reads a magnitude only, so a negative base or exponent
+        # stays with pow, and so does exp 0
+        if mod != _P or exp <= 0 or base < 0:
+            return pow(base, exp, mod)
+        # a BN_CTX of its own per call, so that threads may share the binding
+        bns, ctx = [], None
+        try:
+            for value in (base, exp):
+                bns.append(to_bn(value))
+            bns.append(checked(bn_new(), "BN_new"))
+            ctx = checked(ctx_new(), "BN_CTX_new")
+            a, p, result = bns
+            checked(exp_consttime(result, a, p, modulus, ctx, mont), "BN_mod_exp_mont_consttime")
+            out = ctypes.create_string_buffer(ELEMENT_LEN)
+            if bn2binpad(result, out, ELEMENT_LEN) != ELEMENT_LEN:
+                raise RuntimeError("libcrypto BN_bn2binpad failed")
+            return int.from_bytes(out.raw, "big")
+        finally:
+            ctx_free(ctx)
+            for bn in bns:
+                clear_free(bn)
+
+    return openssl_pow
+
+
+_pow = _load_openssl_pow() or pow
 
 
 def _hash_to_subgroup(seed: bytes) -> int:

@@ -16,9 +16,10 @@ backends exist, and the discovery deadline. Example:
     }
 
 Every field is optional; the defaults give one LAN plus wan routing with
-both backends enabled. A value of the wrong JSON type, a link name that
-``node_links`` does not know, or a discovery deadline that is not a
-positive number raises InvalidArgument while the world is loaded.
+both backends enabled. A value of the wrong JSON type, a field unknown at
+the top level or inside a link, ``wan``, ``dht`` or ``mdns`` object, a link
+name that ``node_links`` does not know, or a discovery deadline that is not
+a positive number raises InvalidArgument while the world is loaded.
 """
 
 from __future__ import annotations
@@ -52,6 +53,21 @@ def _latency(spec: dict, key: str, where: str, fallback=None) -> tuple[float, fl
     return tuple(_number(ms, f"{where}.{key}") / 1000.0 for ms in pair)
 
 
+# the fields SimWorld reads inside each nested object
+_LINK_FIELDS = {"latency_ms", "loss"}
+_NESTED_FIELDS = {
+    "wan": {"latency_ms"},
+    "dht": {"op_latency_ms", "query_interval_ms"},
+    "mdns": {"op_latency_ms", "query_interval_ms"},
+}
+
+
+def _no_unknown_fields(spec: dict, known: set[str], where: str) -> None:
+    unknown = set(spec) - known
+    if unknown:
+        raise InvalidArgument(f"unknown {where} fields: {sorted(unknown, key=str)}")
+
+
 def _backend_timing(spec: dict, name: str) -> dict:
     """The timing a backend spec sets; None leaves the backend's own default."""
     interval = spec.get("query_interval_ms")
@@ -80,9 +96,13 @@ class SimConfig:
             isinstance(spec, dict) for spec in self.links.values()
         ):
             raise InvalidArgument(f"links must be an object of objects, got {self.links!r}")
-        for name, spec in (("wan", self.wan), ("dht", self.dht), ("mdns", self.mdns)):
+        for link_id, spec in self.links.items():
+            _no_unknown_fields(spec, _LINK_FIELDS, f"links.{link_id}")
+        for name, known_fields in _NESTED_FIELDS.items():
+            spec = getattr(self, name)
             if not isinstance(spec, (dict, type(None))):
                 raise InvalidArgument(f"{name} must be an object or null, got {spec!r}")
+            _no_unknown_fields(spec or {}, known_fields, name)
         known = [*self.links, *([WAN_LINK] if self.wan is not None else [])]
         if not (isinstance(self.node_links, list) and all(n in known for n in self.node_links)):
             raise InvalidArgument(f"node_links must name links in {known}, got {self.node_links!r}")
@@ -91,9 +111,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise InvalidArgument(f"unknown sim config fields: {sorted(unknown)}")
+        _no_unknown_fields(doc, set(cls.__dataclass_fields__), "sim config")
         return cls(**doc)
 
     @classmethod

@@ -105,8 +105,9 @@ class TransferManifest:
         if (
             not isinstance(doc["name"], str)
             or not isinstance(doc["sha256"], str)
-            or not isinstance(doc["size"], int)
-            or not isinstance(doc["chunk"], int)
+            # json gives bool for true and false, an int subclass that is no size
+            or type(doc["size"]) is not int
+            or type(doc["chunk"]) is not int
         ):
             raise ProtocolError("manifest field of wrong type")
         try:

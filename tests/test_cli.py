@@ -105,6 +105,10 @@ MALFORMED_SIM_CONFIGS = {
     "node-links-string": '{"node_links": "lan0"}',
     "node-links-unknown": '{"node_links": ["nope"]}',
     "nested-too-deep": "[" * 100_000,
+    "link-unknown-field": '{"links": {"lan0": {"latencyms": 500}}}',
+    "wan-unknown-field": '{"wan": {"latency": [20, 80]}}',
+    "dht-unknown-field": '{"dht": {"op_latency": [1, 2]}}',
+    "mdns-unknown-field": '{"mdns": {"query_interval": 250}}',
 }
 
 

@@ -1,11 +1,13 @@
-"""The pinned blinding elements, the libgmp exponentiation and the
+"""The pinned blinding elements, the OpenSSL exponentiation and the
 per-session key schedule in pcp.pake."""
 
+import builtins
 import ctypes
 import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ RANDOM_EXPONENTS = [random.Random(5).randrange(pake._Q) for _ in range(50)]
 
 @pytest.mark.parametrize("name", BASES)
 def test_fixed_base_pow_matches_pow(name):
-    # on whichever provider loaded: libgmp here, or pow on a host without it
+    # on whichever provider loaded: libcrypto here, or pow on a host without it
     base = BASES[name]
     for exp in EDGE_EXPONENTS + RANDOM_EXPONENTS:
         assert pake._pow(base, exp, pake._P) == pow(base, exp, pake._P), exp
@@ -51,7 +53,7 @@ def _python(code, pythonpath, tmp_path):
 def test_importing_the_cli_runs_no_exponentiation(tmp_path):
     # a fresh process, so that nothing is imported yet; the profiler sees
     # every Python call and every call of a built-in, so it watches both
-    # providers of _pow: the built-in pow and the libgmp binding. Importing
+    # providers of _pow: the built-in pow and the OpenSSL binding. Importing
     # must start no process either: subprocess is how one would be started,
     # and ctypes.util.find_library would start ldconfig.
     code = """
@@ -60,8 +62,8 @@ calls = []
 def watch(frame, event, arg):
     if event == "c_call" and arg is builtins.pow:
         calls.append("pow")
-    elif event == "call" and frame.f_code.co_name == "gmp_pow":
-        calls.append("gmp_pow")
+    elif event == "call" and frame.f_code.co_name == "openssl_pow":
+        calls.append("openssl_pow")
 sys.setprofile(watch)
 import pcp.cli
 sys.setprofile(None)
@@ -73,44 +75,77 @@ print(calls)
     assert run.stdout.strip() == "[]"
 
 
-needs_gmp = pytest.mark.skipif(
-    pake._pow is pow, reason="libgmp.so.10 does not load here, so _pow is the built-in pow"
+needs_openssl = pytest.mark.skipif(
+    pake._pow is pow, reason="libcrypto.so.3 does not load here, so _pow is the built-in pow"
 )
 
-GMP_RNG = random.Random(11)
-GMP_BASES = [0, 1, pake._P - 1, pake._P, 2 * pake._P + 3] + [
-    GMP_RNG.getrandbits(3072) for _ in range(8)
+OPENSSL_RNG = random.Random(11)
+OPENSSL_BASES = [0, 1, pake._P - 1, pake._P, 2 * pake._P + 3] + [
+    OPENSSL_RNG.getrandbits(3072) for _ in range(8)
 ]
-GMP_EXPONENTS = {
+OPENSSL_EXPONENTS = {
     "1-bit": 1,
-    "32-bit": GMP_RNG.getrandbits(32) | 1 << 31,
-    "256-bit": GMP_RNG.getrandbits(256) | 1 << 255,
+    "32-bit": OPENSSL_RNG.getrandbits(32) | 1 << 31,
+    "256-bit": OPENSSL_RNG.getrandbits(256) | 1 << 255,
     "Q": pake._Q,
 }
 
 
-@needs_gmp
-@pytest.mark.parametrize("exp", GMP_EXPONENTS.values(), ids=GMP_EXPONENTS)
-def test_gmp_pow_matches_pow(exp):
-    for base in GMP_BASES:
+@needs_openssl
+@pytest.mark.parametrize("exp", OPENSSL_EXPONENTS.values(), ids=OPENSSL_EXPONENTS)
+def test_openssl_pow_matches_pow(exp):
+    for base in OPENSSL_BASES:
         assert pake._pow(base, exp, pake._P) == pow(base, exp, pake._P), base
+
+
+@needs_openssl
+def test_threads_share_the_openssl_binding():
+    # each call gets its own BN_CTX, and ctypes drops the GIL during it,
+    # so two threads run their exponentiations at the same time
+    rng = random.Random(12)
+    work = [
+        [(rng.getrandbits(3072), rng.getrandbits(256) | 1 << 255) for _ in range(20)]
+        for _ in range(2)
+    ]
+    results = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def worker(i):
+        start.wait()
+        results[i] = [pake._pow(base, exp, pake._P) for base, exp in work[i]]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    for i in range(2):
+        assert results[i] == [pow(base, exp, pake._P) for base, exp in work[i]], i
 
 
 @pytest.mark.parametrize(
     "base, exp, mod",
-    [(5, 0, pake._P), (0, 0, pake._P), (pake._G, 7, 2 * pake._P), (7, 5, 1), (-3, 5, pake._P)],
-    ids=["exponent-0", "zero-to-the-0", "even-modulus", "modulus-1", "negative-base"],
+    [
+        (5, 0, pake._P), (0, 0, pake._P), (pake._G, 7, 2 * pake._P), (7, 5, 1),
+        (-3, 5, pake._P), (pake._G, 7, pake._P + 2),
+    ],
+    ids=[
+        "exponent-0", "zero-to-the-0", "even-modulus", "modulus-1",
+        "negative-base", "other-odd-modulus",
+    ],
 )
 def test_pow_outside_the_gmp_domain_matches_pow(base, exp, mod):
+    # the arguments the binding leaves to the built-in pow
     assert pake._pow(base, exp, mod) == pow(base, exp, mod)
 
 
-def test_gmp_loader_without_the_library_gives_no_binding(monkeypatch):
+def test_openssl_loader_without_the_library_gives_no_binding(monkeypatch):
     def missing(name, *args, **kwargs):
         raise OSError(f"{name}: cannot open shared object file")
 
     monkeypatch.setattr(ctypes, "CDLL", missing)
-    assert pake._load_gmp_pow() is None
+    assert pake._load_openssl_pow() is None
 
 
 def test_every_data_file_is_package_data():
@@ -197,22 +232,33 @@ def test_party_bytes_do_not_depend_on_the_pow_provider(role, seed, monkeypatch):
     assert handshake() == provided
 
 
-@needs_gmp
-def test_every_exponentiation_of_a_handshake_runs_on_gmp(monkeypatch):
-    # mpz_powm_sec is the constant-time path: each of a side's five
-    # exponentiations, the three with a fixed base included, must reach it
-    calls = []
-    gmp_pow = pake._pow
+@needs_openssl
+def test_every_exponentiation_of_a_handshake_runs_on_openssl(monkeypatch):
+    # BN_mod_exp_mont_consttime is the constant-time path: each of a side's
+    # five exponentiations, the three with a fixed base included, must reach
+    # it, and none may fall back to the built-in pow inside the binding
+    calls, fallbacks = [], []
+    openssl_pow = pake._pow
 
     def recording(base, exp, mod):
         assert mod == pake._P
         calls.append((base, exp))
-        return gmp_pow(base, exp, mod)
+        return openssl_pow(base, exp, mod)
+
+    def watch(frame, event, arg):
+        if event == "c_call" and arg is builtins.pow:
+            fallbacks.append(frame.f_code.co_name)
 
     monkeypatch.setattr(pake, "_pow", recording)
-    initiator = pake.PakeParty(PASSWORD, pake.ROLE_INITIATOR, BINDING, random.Random(8))
-    responder = pake.PakeParty(PASSWORD, pake.ROLE_RESPONDER, BINDING, random.Random(9))
-    assert initiator.derive(responder.message()) == responder.derive(initiator.message())
+    sys.setprofile(watch)
+    try:
+        initiator = pake.PakeParty(PASSWORD, pake.ROLE_INITIATOR, BINDING, random.Random(8))
+        responder = pake.PakeParty(PASSWORD, pake.ROLE_RESPONDER, BINDING, random.Random(9))
+        masters = initiator.derive(responder.message()), responder.derive(initiator.message())
+    finally:
+        sys.setprofile(None)
+    assert masters[0] == masters[1]
+    assert fallbacks == []
 
     P, Q, w = pake._P, pake._Q, pake._password_scalar(PASSWORD)
 

@@ -59,6 +59,18 @@ class TestManifest:
         with pytest.raises(ProtocolError):
             TransferManifest.decode(b"not json at all")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b'{"chunk":true,"name":"a","sha256":"' + b"00" * 32 + b'","size":1}',
+            b'{"chunk":1,"name":"a","sha256":"' + b"00" * 32 + b'","size":false}',
+        ],
+        ids=["chunk-true", "size-false"],
+    )
+    def test_decode_rejects_booleans(self, doc):
+        with pytest.raises(ProtocolError, match="manifest field of wrong type"):
+            TransferManifest.decode(doc)
+
     @pytest.mark.parametrize("bad", ["../../etc/passwd", "a/b", "a\\b", ".", "..", "", "x\x00y"])
     def test_path_escape_names_rejected(self, bad):
         with pytest.raises(InvalidArgument):
