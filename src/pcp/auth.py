@@ -39,6 +39,7 @@ LABEL_SEND_RESPONDER = b"pcp/send/responder"
 LABEL_CONFIRM = b"pcp/confirm"
 CONFIRM_LABEL = {ROLE_INITIATOR: b"confirm/initiator", ROLE_RESPONDER: b"confirm/responder"}
 
+HANDSHAKE_TIMEOUT = 30.0  # seconds for the key exchange, and again for key confirmation
 MAX_BINDING_LEN = 512
 _NONCE_LIMIT = 2**64
 _TAG_LEN = 16  # Poly1305
@@ -108,12 +109,10 @@ def _decode_msg1(payload: bytes) -> tuple[str, bytes]:
     return binding, payload[2 + blen :]
 
 
-async def _guarded(conn: Connection, step: Coroutine, timeout: float | None, what: str):
-    """Run one handshake step under its deadline; any failure aborts ``conn``."""
+async def _guarded(conn: Connection, step: Coroutine, what: str):
+    """Run one handshake step under HANDSHAKE_TIMEOUT; any failure aborts ``conn``."""
     try:
-        if timeout is None:
-            return await step
-        return await wait_for(step, timeout)
+        return await wait_for(step, HANDSHAKE_TIMEOUT)
     except WaitTimeout:
         conn.abort()
         raise HandshakeTimeout(f"{what} timed out") from None
@@ -142,11 +141,11 @@ async def _respond(
     conn: Connection,
     password: bytes | PakePassword,
     rng: random.Random,
-    allowed_bindings: Collection[str] | None,
+    allowed_bindings: Collection[str],
 ) -> tuple[SessionKeys, bytes, str]:
     payload = await framing.expect_frame(conn, framing.TYPE_PAKE_MSG_1, _MAX_MSG1)
     binding, peer_element = _decode_msg1(payload)
-    if allowed_bindings is not None and binding not in allowed_bindings:
+    if binding not in allowed_bindings:
         raise ProtocolError(f"peer bound to unknown rendezvous id {binding!r}")
     party = PakeParty(password, ROLE_RESPONDER, binding, rng)
     msg2 = framing.pack_frame(framing.TYPE_PAKE_MSG_2, party.message())
@@ -162,29 +161,30 @@ async def pake_handshake(
     role: str,
     rng: random.Random,
     *,
-    allowed_bindings: Collection[str] | None = None,
-    timeout: float | None = None,
+    allowed_bindings: Collection[str] = frozenset(),
 ) -> tuple[SessionKeys, bytes, str]:
     """Run the exchange; returns (keys, transcript bytes, session binding).
 
     The dialer passes ``role=ROLE_INITIATOR`` with the binding inside
-    ``secret``; the accepting side passes ``ROLE_RESPONDER`` and, normally,
-    the set of rendezvous ids it actually published under. A mismatched
-    passphrase is NOT detected here — both sides still derive keys, they
-    just differ; confirm_key() is where a mismatch surfaces.
+    ``secret``; the accepting side passes ``ROLE_RESPONDER`` and the set of
+    rendezvous ids it actually published under, and refuses a peer bound to
+    any other id (with none given, every peer) before it computes anything.
+    The initiator ignores ``allowed_bindings``. A mismatched passphrase is
+    NOT detected here — both sides still derive keys, they just differ;
+    confirm_key() is where a mismatch surfaces.
 
     Any failure aborts the connection: malformed input raises ProtocolError
-    and deadline expiry raises HandshakeTimeout. A frame header announcing
-    more than its type allows fails before the payload is read. The
-    transcript holds both frames byte for byte; a received frame is packed
-    again from its payload, which gives the same bytes because a header
-    depends only on the type and the length.
+    and HandshakeTimeout follows HANDSHAKE_TIMEOUT seconds without a result.
+    A frame header announcing more than its type allows fails before the
+    payload is read. The transcript holds both frames byte for byte; a
+    received frame is packed again from its payload, which gives the same
+    bytes because a header depends only on the type and the length.
     """
     if role == ROLE_INITIATOR:
         step = _initiate(conn, secret, rng)
     else:
         step = _respond(conn, secret.password, rng, allowed_bindings)
-    return await _guarded(conn, step, timeout, "key exchange")
+    return await _guarded(conn, step, "key exchange")
 
 
 async def _confirm(conn: Connection, keys: SessionKeys, transcript: bytes) -> "SecureChannel":
@@ -200,13 +200,7 @@ async def _confirm(conn: Connection, keys: SessionKeys, transcript: bytes) -> "S
     return SecureChannel(conn, keys)
 
 
-async def confirm_key(
-    conn: Connection,
-    keys: SessionKeys,
-    transcript: bytes,
-    *,
-    timeout: float | None = None,
-) -> "SecureChannel":
+async def confirm_key(conn: Connection, keys: SessionKeys, transcript: bytes) -> "SecureChannel":
     """Mutual proof that both sides derived the same keys.
 
     Each side MACs the handshake transcript under its own direction label
@@ -215,9 +209,10 @@ async def confirm_key(
 
     As with any handshake, corruption of the final tag in flight is caught
     only by its receiver; the other side learns of it when the aborted
-    connection refuses to carry data.
+    connection refuses to carry data. The step fails with HandshakeTimeout
+    after HANDSHAKE_TIMEOUT.
     """
-    return await _guarded(conn, _confirm(conn, keys, transcript), timeout, "key confirmation")
+    return await _guarded(conn, _confirm(conn, keys, transcript), "key confirmation")
 
 
 class SecureChannel:

@@ -46,6 +46,7 @@ EXIT_IO = 6
 EXIT_INTERRUPTED = 7
 
 CODE_PREFIX = "Code is: "
+_PAYLOAD_PIECE = 64 * 1024  # simulate writes its payload in pieces of this many bytes
 
 
 def _byte_count(text: str) -> int:
@@ -243,11 +244,14 @@ def _make_decider(args, out):
 
 async def _scenario_transfer(args, world: SimWorld, out) -> int:
     """CLI round trip on one kernel: send's printed code feeds receive."""
-    payload = world.kernel.rng("scenario.payload").randbytes(args.size)
+    rng = world.kernel.rng("scenario.payload")
     with tempfile.TemporaryDirectory(prefix="pcp-sim-") as workdir:
         src = os.path.join(workdir, "payload.bin")
         with open(src, "wb") as f:
-            f.write(payload)
+            # whole 32-bit words per piece give the bytes one randbytes(size)
+            # call would, and that call overflows from 2**28 bytes on
+            for done in range(0, args.size, _PAYLOAD_PIECE):
+                f.write(rng.randbytes(min(_PAYLOAD_PIECE, args.size - done)))
         inbox = os.path.join(workdir, "inbox")
 
         parser = build_parser()

@@ -27,7 +27,7 @@ import logging
 import os
 import random
 from dataclasses import dataclass
-from typing import Awaitable, Callable
+from typing import Awaitable, Callable, Collection
 
 from . import kernel as ker
 from .auth import ROLE_INITIATOR, ROLE_RESPONDER, PakeSecret, SecureChannel, confirm_key, pake_handshake
@@ -71,15 +71,12 @@ PHASE_ORDER = (
 )
 PHASE_FAILED = "failed"
 
-HANDSHAKE_TIMEOUT = 30.0  # seconds for the PAKE exchange, and again for key confirmation
-
 
 @dataclass
 class SessionConfig:
     backends: tuple[DiscoveryBackend, ...]
     word_count: int = DEFAULT_WORD_COUNT
     discovery_deadline: float = 120.0
-    republish_on_rollover: bool = True
 
     def __post_init__(self) -> None:
         if not self.backends:
@@ -148,7 +145,7 @@ class _Session:
         return task
 
     async def authenticate(
-        self, conn: Connection, binding: str, allowed_bindings: set[str] | None = None
+        self, conn: Connection, binding: str, allowed_bindings: Collection[str] = frozenset()
     ) -> None:
         """Handshake and confirm one candidate; a confirmed channel joins ``winners``.
 
@@ -168,9 +165,8 @@ class _Session:
                 auth_role,
                 self.rng,
                 allowed_bindings=allowed_bindings,
-                timeout=HANDSHAKE_TIMEOUT,
             )
-            chan = await confirm_key(conn, keys, transcript, timeout=HANDSHAKE_TIMEOUT)
+            chan = await confirm_key(conn, keys, transcript)
         except PcpError as e:
             self.auth_failures += 1
             self.emit("auth_fail", peer=peer.short(), reason=type(e).__name__)
@@ -300,8 +296,6 @@ async def run_sender(
                         await write.join()
                     except PcpError as e:
                         logger.warning("publish failed on one backend: %s", e)
-            if not config.republish_on_rollover:
-                return
             await ker.sleep(next_slot_delay(key.slot, kernel.now()))
 
     async def acceptor() -> None:

@@ -197,7 +197,7 @@ class SimNode:
             raise DialError("node is stopped")
         return await self._inbound.get()
 
-    async def dial(self, to: PeerAddress, relay: bool = False) -> "Connection":
+    async def dial(self, to: PeerAddress) -> "Connection":
         """Open a duplex stream to ``to``; one round trip before it returns."""
         if self.stopped:
             raise DialError("dialing node is stopped")
@@ -210,7 +210,7 @@ class SimNode:
         if not links:
             self._dial_failed(to, "unreachable")
         link = links[0]
-        core = _ConnectionCore(self.network, link, relay)
+        core = _ConnectionCore(self.network, link)
         await ker.sleep(core.draw_delay())  # connect request travels
         if target.stopped or not link.up:
             self._dial_failed(to, "peer-down")
@@ -224,7 +224,6 @@ class SimNode:
             src=self.address.short(),
             dst=to.short(),
             link=link.link_id,
-            relay=relay,
         )
         await ker.sleep(core.draw_delay())  # accept response travels back
         if core.error is not None:
@@ -257,21 +256,17 @@ class _Stream:
 class _ConnectionCore:
     """State shared by both endpoints of one connection."""
 
-    def __init__(self, network: SimulatedNetwork, link: VirtualLink, relay: bool):
+    def __init__(self, network: SimulatedNetwork, link: VirtualLink):
         network._conn_seq += 1
         self.network = network
         self.kernel = network.kernel
         self.link = link
-        self.relay = relay
         self.conn_id = f"c{network._conn_seq}"
         self.error: str | None = None
         self.ends: tuple[Connection, ...] = ()  # (dialer's end, acceptor's end)
 
     def draw_delay(self) -> float:
-        d = self.link.latency.draw(self.network._rng_latency)
-        if self.relay:
-            d += self.link.latency.draw(self.network._rng_latency)
-        return d
+        return self.link.latency.draw(self.network._rng_latency)
 
     def deliver(self, inbox: _Stream, payload: bytes | None) -> None:
         """Queue ``payload`` (None is EOF) for ``inbox``; a drop before arrival discards it.

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import pytest
 
+from pcp import session
 from pcp.discovery import SimulatedDht, SimulatedMdns
 from pcp.kernel import DEFAULT_START_TIME, Kernel, spawn
+from pcp.rendezvous import discovery_key, truncate_to_slot
 from pcp.session import SessionConfig, run_receiver, run_sender
 from pcp.simnet import SimulatedNetwork
 
@@ -52,6 +55,23 @@ def build_world(
     dht = SimulatedDht(net, op_latency=dht_latency, query_interval=dht_interval)
     mdns = SimulatedMdns(net, op_latency=mdns_latency, query_interval=mdns_interval)
     return World(kernel, net, dht, mdns)
+
+
+def publish_only_slot_of(monkeypatch, unix_time: float) -> None:
+    """Make every sender publish under one slot's key and never re-publish.
+
+    A stand-in for a sender that stops re-publishing at a slot rollover, so a
+    receiver can find it only through the slots it queries: the key always
+    names the slot holding ``unix_time``, which the publisher has already
+    published after its first pass. The key's slot follows the clock, so the
+    publisher still sleeps to each slot boundary instead of polling.
+    """
+
+    def publish_key(channel: int, now: float):
+        key = discovery_key(channel, truncate_to_slot(unix_time))
+        return dataclasses.replace(key, slot=truncate_to_slot(now))
+
+    monkeypatch.setattr(session, "sender_publish_key", publish_key)
 
 
 async def accept_all(manifest):

@@ -27,7 +27,7 @@ from pcp.session import run_receiver, run_sender
 from pcp.simworld import SimWorld
 from pcp.wordlist import load_wordlist
 
-from conftest import accept_all, build_world, run_pair
+from conftest import accept_all, build_world, publish_only_slot_of, run_pair
 from relay import FrameRelay, TamperPlan
 
 
@@ -53,22 +53,21 @@ def test_acceptance_1_end_to_end_happy_path(payload_file, tmp_path):
     print(f"\nACCEPTANCE 1 end-to-end 1 MiB happy path ({wall:.2f}s): PASS")
 
 
-def test_acceptance_2_slot_boundary_exhaustion(tmp_path):
+def test_acceptance_2_slot_boundary_exhaustion(tmp_path, monkeypatch):
     """All 600 receiver offsets; success iff slot delta is 0 or 300 s."""
     started = time.perf_counter()
     width = 300
     base = 1_700_000_100  # multiple of 300
     t_send = base + 150
+    publish_only_slot_of(monkeypatch, t_send)  # the sender publishes at t_send only
     src = tmp_path / "tiny.bin"
     src.write_bytes(b"slot coverage payload")
     phrase = Passphrase(("abandon", "zoo", "zebra", "wrap"))
     results = {}
     for delta in range(600):
         world = build_world(seed=3000 + delta, start_time=float(t_send))
-        cfg = world.config(
-            discovery_deadline=615 + 30, republish_on_rollover=False
-        )
-        recv_cfg = world.config(discovery_deadline=10, republish_on_rollover=False)
+        cfg = world.config(discovery_deadline=615 + 30)
+        recv_cfg = world.config(discovery_deadline=10)
         dest = tmp_path / f"inbox-{delta}"
         s_out, r_out, _ = run_pair(
             world, str(src), str(dest),
@@ -170,7 +169,7 @@ def test_acceptance_4_authentication_rejection():
             try:
                 keys, transcript, _ = await pake_handshake(
                     conn, PakeSecret(pw_responder, ""), auth.ROLE_RESPONDER,
-                    world.kernel.rng("crypto"), allowed_bindings=None,
+                    world.kernel.rng("crypto"), allowed_bindings={BINDING},
                 )
                 chan = await confirm_key(conn, keys, transcript)
                 results["responder"] = chan
@@ -272,7 +271,7 @@ def test_acceptance_5_tamper_detection(tmp_path):
                 conn = await sender_node.accept()
                 keys, transcript, _ = await pake_handshake(
                     conn, PakeSecret(b"pw-pw", ""), auth.ROLE_RESPONDER,
-                    world.kernel.rng("crypto"), allowed_bindings=None,
+                    world.kernel.rng("crypto"), allowed_bindings={"/pcp/1700000000/0"},
                 )
                 chan = await confirm_key(conn, keys, transcript)
                 box["sender"] = await send_file(chan, str(src), manifest_for_file(str(src)))

@@ -30,7 +30,7 @@ def make_net(seed=0):
     return k, net
 
 
-async def _respond_ok(node, password, results, allowed=None):
+async def _respond_ok(node, password, results, allowed):
     conn = await node.accept()
     keys, transcript, binding = await pake_handshake(
         conn,
@@ -43,7 +43,7 @@ async def _respond_ok(node, password, results, allowed=None):
     results.append((keys, chan, binding))
 
 
-def _handshake_pair(k, net, pw_initiator, pw_responder, allowed=None):
+def _handshake_pair(k, net, pw_initiator, pw_responder, allowed):
     """Full exchange over the simnet; returns both ends' results or raises."""
 
     async def main():
@@ -247,7 +247,7 @@ class TestHandshakeOverSimnet:
                 conn = await b.accept()
                 keys, transcript, _ = await pake_handshake(
                     conn, PakeSecret(b"alfa-bravo-charlie-echo", ""),
-                    auth.ROLE_RESPONDER, k.rng("crypto"), allowed_bindings=None,
+                    auth.ROLE_RESPONDER, k.rng("crypto"), allowed_bindings={BINDING},
                 )
                 try:
                     await confirm_key(conn, keys, transcript)
@@ -268,8 +268,17 @@ class TestHandshakeOverSimnet:
 
         k.run(main())
 
-    def test_unpublished_binding_refused_before_reply(self):
+    @pytest.mark.parametrize("allowed", [{"allowed_bindings": {"/pcp/600/9"}}, {}],
+                             ids=["other-id", "none-given"])
+    def test_unpublished_binding_refused_before_reply(self, allowed, monkeypatch):
         k, net = make_net()
+        roles_built = []
+
+        def spy_party(password, role, binding, rng):
+            roles_built.append(role)
+            return PakeParty(password, role, binding, rng)
+
+        monkeypatch.setattr(auth, "PakeParty", spy_party)
 
         async def main():
             a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
@@ -279,8 +288,9 @@ class TestHandshakeOverSimnet:
                 with pytest.raises(ProtocolError):
                     await pake_handshake(
                         conn, PakeSecret(b"pw-pw", ""), auth.ROLE_RESPONDER,
-                        k.rng("crypto"), allowed_bindings={"/pcp/600/9"},
+                        k.rng("crypto"), **allowed,
                     )
+                assert roles_built == [auth.ROLE_INITIATOR]  # none for the responder
 
             resp = spawn(responder())
             conn = await a.dial(b.address)
@@ -309,7 +319,7 @@ class TestHandshakeOverSimnet:
             with pytest.raises(HandshakeTimeout):
                 await pake_handshake(
                     conn, PakeSecret(b"pw-pw", BINDING), auth.ROLE_INITIATOR,
-                    k.rng("crypto"), timeout=5.0,
+                    k.rng("crypto"),
                 )
 
         k.run(main())
@@ -326,7 +336,7 @@ class TestHandshakeOverSimnet:
             with pytest.raises(ProtocolError):
                 await pake_handshake(
                     b, PakeSecret(b"pw-pw", ""), auth.ROLE_RESPONDER, k.rng("crypto"),
-                    allowed_bindings=None, timeout=5.0,
+                    allowed_bindings={BINDING},
                 )
             assert k.now() - t0 < 0.01  # the header's one-way delay, not the timeout
             with pytest.raises(ConnectionLost):
@@ -343,7 +353,6 @@ class TestHandshakeOverSimnet:
             with pytest.raises(ProtocolError):
                 await pake_handshake(
                     a, PakeSecret(b"pw-pw", BINDING), auth.ROLE_INITIATOR, k.rng("crypto"),
-                    timeout=5.0,
                 )
             with pytest.raises(ConnectionLost):
                 await b.recv_exactly(1 << 20)  # msg1, then the abort
@@ -358,7 +367,8 @@ class TestHandshakeOverSimnet:
 
             async def responder():
                 await pake_handshake(
-                    b, PakeSecret(b"pw-pw", ""), auth.ROLE_RESPONDER, k.rng("crypto")
+                    b, PakeSecret(b"pw-pw", ""), auth.ROLE_RESPONDER, k.rng("crypto"),
+                    allowed_bindings={BINDING},
                 )
                 await b.send(_header(framing.TYPE_CONFIRM_TAG, 33))
 
@@ -368,7 +378,7 @@ class TestHandshakeOverSimnet:
             )
             await resp.join()
             with pytest.raises(ProtocolError):
-                await confirm_key(a, keys, transcript, timeout=5.0)
+                await confirm_key(a, keys, transcript)
 
         k.run(main())
 
@@ -413,9 +423,9 @@ class TestHandshakeOverSimnet:
                 try:
                     keys, transcript, _ = await pake_handshake(
                         conn, PakeSecret(b"pw-pw", ""), auth.ROLE_RESPONDER,
-                        k.rng("crypto"), allowed_bindings=None, timeout=30.0,
+                        k.rng("crypto"), allowed_bindings={BINDING},
                     )
-                    chan = await confirm_key(conn, keys, transcript, timeout=30.0)
+                    chan = await confirm_key(conn, keys, transcript)
                     assert await chan.recv() == b"probe"
                     await chan.send(b"reply")
                     outcomes.append("responder-exchanged-data")
@@ -428,9 +438,9 @@ class TestHandshakeOverSimnet:
             try:
                 keys, transcript, _ = await pake_handshake(
                     conn, PakeSecret(b"pw-pw", BINDING), auth.ROLE_INITIATOR,
-                    k.rng("crypto"), timeout=30.0,
+                    k.rng("crypto"),
                 )
-                chan = await confirm_key(conn, keys, transcript, timeout=30.0)
+                chan = await confirm_key(conn, keys, transcript)
                 await chan.send(b"probe")
                 assert await chan.recv() == b"reply"
                 outcomes.append("initiator-exchanged-data")
@@ -572,7 +582,7 @@ class TestSecureChannel:
                 conn = await b.accept()
                 keys, transcript, _ = await pake_handshake(
                     conn, PakeSecret(b"pw-pw", ""), auth.ROLE_RESPONDER,
-                    k.rng("crypto"), allowed_bindings=None,
+                    k.rng("crypto"), allowed_bindings={BINDING},
                 )
                 chan = await confirm_key(conn, keys, transcript)
                 got = await chan.recv()
@@ -609,7 +619,7 @@ class TestSecureChannel:
                 conn = await b.accept()
                 keys, transcript, _ = await pake_handshake(
                     conn, PakeSecret(b"pw-pw", ""), auth.ROLE_RESPONDER,
-                    k.rng("crypto"), allowed_bindings=None,
+                    k.rng("crypto"), allowed_bindings={BINDING},
                 )
                 await confirm_key(conn, keys, transcript)
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from pcp import cli
 from pcp.cli import CODE_PREFIX, build_parser, main, render_progress
 from pcp.errors import InvalidArgument
-from pcp.kernel import Event
+from pcp.kernel import Event, Kernel
 from pcp.passphrase import parse_passphrase
 from pcp.simworld import SimConfig, SimWorld
 
@@ -423,6 +424,25 @@ class TestRoundTrip:
         rc = main(["simulate", "--sim-config", sim_config_path, "--size", "1000"], out=out)
         assert rc == 0, out.getvalue()
         assert os.listdir(scratch) == []
+
+    def test_simulate_draws_its_payload_in_bounded_pieces(self, sim_config_path, monkeypatch):
+        # one randbytes(size) call overflows from 2**28 bytes on; pieces of at
+        # most 64 KiB work for any --size and give the same payload bytes
+        size = 3 * 65536 + 5
+        expected = Kernel(seed=3).rng("scenario.payload").randbytes(size)
+        draws = []
+        randbytes = random.Random.randbytes
+
+        def recording(rng, n):
+            draws.append(randbytes(rng, n))
+            return draws[-1]
+
+        monkeypatch.setattr(random.Random, "randbytes", recording)
+        out = io.StringIO()
+        rc = main(["simulate", "--sim-config", sim_config_path, "--size", str(size)], out=out)
+        assert rc == 0, out.getvalue()
+        assert max(len(d) for d in draws) <= 65536
+        assert b"".join(draws) == expected
 
 
 class TestSimConfig:

@@ -4,13 +4,13 @@ import tracemalloc
 
 import pytest
 
-from pcp import framing, pake, session
+from pcp import auth, framing, pake, session
 from pcp.kernel import sleep, spawn
 from pcp.passphrase import Passphrase, generate_passphrase
 from pcp.rendezvous import receiver_query_keys, sender_publish_key
 from pcp.session import PHASE_ORDER, run_receiver, run_sender
 
-from conftest import accept_all, build_world, reject_all, run_pair
+from conftest import accept_all, build_world, publish_only_slot_of, reject_all, run_pair
 
 
 def _phases(world, role):
@@ -69,11 +69,16 @@ class TestHappyPath:
 
 
 class TestTimingScenarios:
-    def test_receiver_four_minutes_late_uses_previous_slot(self, payload_file, tmp_path):
-        # sender publishes mid-slot; receiver starts 240 s later in the next
-        # slot, so only its previous-slot query can find the record
-        world = build_world(seed=5, start_time=1_700_000_000 + 200)
-        cfg = world.config(discovery_deadline=400, republish_on_rollover=False)
+    def test_receiver_four_minutes_late_uses_previous_slot(
+        self, payload_file, tmp_path, monkeypatch
+    ):
+        # sender publishes mid-slot and never again; receiver starts 240 s
+        # later in the next slot, so only its previous-slot query can find
+        # the record
+        start = 1_700_000_000 + 200
+        publish_only_slot_of(monkeypatch, start)
+        world = build_world(seed=5, start_time=start)
+        cfg = world.config(discovery_deadline=400)
         s_out, r_out, _ = run_pair(
             world, payload_file(5000), str(tmp_path / "inbox"),
             config=cfg, receiver_delay=240.0,
@@ -113,17 +118,6 @@ class TestTimingScenarios:
         )
         assert s_out.status == "completed"
         assert r_out.status == "completed"
-
-    def test_publish_once_mode_times_out_after_two_slots(self, payload_file, tmp_path):
-        world = build_world(seed=8, start_time=1_700_000_000 + 150)
-        cfg = world.config(discovery_deadline=900, republish_on_rollover=False)
-        recv_cfg = world.config(discovery_deadline=30, republish_on_rollover=False)
-        s_out, r_out, _ = run_pair(
-            world, payload_file(3000), str(tmp_path / "inbox"),
-            config=cfg, receiver_delay=650.0, receive_config=recv_cfg,
-        )
-        assert r_out.status == "failed"
-        assert r_out.reason == "not-found"
 
     def test_no_sender_times_out_not_found(self, tmp_path):
         world = build_world(seed=9)
@@ -544,3 +538,34 @@ class TestPreAuthentication:
         failures = [e for e in world.kernel.trace.events if e["event"] == "auth_fail"]
         assert [e["reason"] for e in failures] == ["ProtocolError"] * 8
         assert peak < 1 << 20, peak
+
+    def test_silent_dialer_times_out_and_a_real_receiver_completes(
+        self, payload_file, tmp_path
+    ):
+        # a node dials the sender and never sends message 1: the sender drops
+        # it HANDSHAKE_TIMEOUT after the connection opens and keeps serving
+        world = build_world(seed=22)
+        cfg = world.config()
+        sender, silent, receiver = world.node(), world.node(), world.node()
+        code_box = []
+
+        async def main():
+            st = spawn(run_sender(sender, cfg, payload_file(2000), on_code=code_box.append))
+            await sleep(0.1)
+            await silent.dial(sender.address)
+            await sleep(auth.HANDSHAKE_TIMEOUT + 1)
+            r_out = await run_receiver(
+                receiver, cfg, code_box[0], dest_dir=str(tmp_path / "inbox"), decide=accept_all
+            )
+            return await st.join(), r_out
+
+        s_out, r_out = world.kernel.run(main())
+        assert (s_out.status, r_out.status) == ("completed", "completed")
+        events = world.kernel.trace.events
+        opened = next(e for e in events
+                      if e["event"] == "conn_open" and e["src"] == silent.address.short())
+        failures = [e for e in events if e["event"] == "auth_fail"]
+        assert [(e["role"], e["peer"], e["reason"]) for e in failures] == [
+            ("sender", silent.address.short(), "HandshakeTimeout")
+        ]
+        assert failures[0]["t"] == pytest.approx(opened["t"] + auth.HANDSHAKE_TIMEOUT, abs=1e-5)

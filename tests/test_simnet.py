@@ -38,24 +38,18 @@ def test_dial_and_echo_roundtrip():
     k.run(main())
 
 
-def test_fixed_latency_rtt_and_relay_doubling():
+def test_fixed_latency_rtt():
     k, net = make_net(lan=(0.005, 0.005), wan=False)
-
-    async def measure(a, b, relay):
-        spawn(echo_once(b))
-        conn = await a.dial(b.address, relay=relay)
-        t0 = current_time()
-        await conn.send(b"x")
-        await conn.recv_exactly(1)
-        return current_time() - t0
 
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
-        direct = await measure(a, b, relay=False)
-        relayed = await measure(a, b, relay=True)
+        spawn(echo_once(b))
+        conn = await a.dial(b.address)
+        t0 = current_time()
+        await conn.send(b"x")
+        await conn.recv_exactly(1)
         # abs tolerance: virtual unix-seconds floats quantize near 1e-7
-        assert direct == pytest.approx(0.010, abs=1e-5)  # 2 x 5 ms
-        assert relayed == pytest.approx(0.020, abs=1e-5)  # one extra hop each way
+        assert current_time() - t0 == pytest.approx(0.010, abs=1e-5)  # 2 x 5 ms
 
     k.run(main())
 

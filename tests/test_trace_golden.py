@@ -5,6 +5,10 @@ also catch a change that alters the trace the same way on every run: a
 refactor that should leave behaviour alone must leave these hashes alone.
 A change that alters the trace on purpose updates the pin and says why.
 The values were computed on CPython 3.11.7.
+
+Last update: ``conn_open`` events no longer carry a ``relay`` key, since
+simnet has no relay hop; each pin is the previous battery trace with only
+that key removed from every ``conn_open``.
 """
 
 import pytest
@@ -12,8 +16,8 @@ import pytest
 from test_acceptance import _scenario_battery
 
 GOLDEN = {
-    1234: "40bc467fe99818439fd4de2d4db6f376bd93ae2b5a2a4d420d12d891e3907c63",
-    4321: "03fe29b90c86c081f0bb72cf36be3f4ad7ed871df0e7f976d58a2e4b6be95e1a",
+    1234: "713f00a7c036cf28b49b72ba486165abab6579e4d37c7b2f7e6ede87fe7cbdd3",
+    4321: "e40076d77d3d22d6d968fae1e975f434e3545c4e3059e4d321578c6ea8b00238",
 }
 
 

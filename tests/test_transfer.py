@@ -163,7 +163,7 @@ class _ChannelFixture:
             conn = await self.b.accept()
             keys, transcript, _ = await pake_handshake(
                 conn, PakeSecret(b"pw-pw", ""), auth.ROLE_RESPONDER,
-                self.kernel.rng("crypto"), allowed_bindings=None,
+                self.kernel.rng("crypto"), allowed_bindings={BINDING},
             )
             box["responder"] = await confirm_key(conn, keys, transcript)
 
