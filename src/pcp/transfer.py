@@ -4,10 +4,11 @@ Frame layout inside the encrypted app-data frames: one sub-type byte, then
 the sub-payload. The sender opens with a manifest (canonical JSON), waits
 for the receiver's explicit accept, then streams fixed-size chunks, each
 tagged with its byte offset, and finishes with an empty end marker. The
-receiver writes into a temporary file in the destination directory,
-verifies the whole-file digest, and only then moves it onto a name it has
-claimed exclusively — a failed or rejected transfer never leaves partial
-artifacts, and an existing file is never replaced.
+receiver writes into an unnamed file (``O_TMPFILE``) in the destination
+directory, verifies the whole-file digest, and only then links it to a free
+name. A failed, rejected or killed transfer leaves nothing, because the
+kernel frees an unnamed file with its last descriptor, and ``linkat`` never
+replaces an existing file. The receiver is Linux-only for this.
 
 Nothing is transmitted without an accept: silence, timeout, or a scripted
 "no" all mean reject.
@@ -19,7 +20,6 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Awaitable, BinaryIO, Callable
 
@@ -243,22 +243,33 @@ async def await_confirmation(manifest: TransferManifest, decide: DecideFn | None
         return False
 
 
-def _claim_destination(dest_dir: str, name: str) -> str:
-    """Create an empty placeholder at 'name', else 'name (1)', ...; return its path.
+def _link_into_place(fd: int, dest_dir: str, name: str) -> str:
+    """Link the unnamed file open at 'fd' as 'name', else 'name (1)', ...; return its path.
 
-    O_EXCL makes choosing a free name and taking it one step, so a file that
-    appears at that name meanwhile is never replaced.
+    linkat never replaces a name, so a file that appears at the chosen name
+    meanwhile stays as it is. A ' (n)' name is cut at a code-point boundary
+    to fit MAX_NAME_BYTES: its stem, or the whole name if the extension
+    leaves no room. A non-default dir fd makes CPython call linkat(...,
+    AT_SYMLINK_FOLLOW), which follows /proc/self/fd to the inode; link(2)
+    would not.
     """
-    candidate = os.path.join(dest_dir, name)
     stem, ext = os.path.splitext(name)
-    n = 0
-    while True:
-        try:
-            os.close(os.open(candidate, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600))
-            return candidate
-        except FileExistsError:
-            n += 1
-            candidate = os.path.join(dest_dir, f"{stem} ({n}){ext}")
+    candidate, n = name, 0
+    dir_fd = os.open(dest_dir, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        while True:
+            try:
+                os.link(f"/proc/self/fd/{fd}", candidate, dst_dir_fd=dir_fd)
+                return os.path.join(dest_dir, candidate)
+            except FileExistsError:
+                n += 1
+                suffix = f" ({n})"
+                if len((suffix + ext).encode()) >= MAX_NAME_BYTES:
+                    stem, ext = name, ""
+                room = MAX_NAME_BYTES - len((suffix + ext).encode())
+                candidate = stem.encode()[:room].decode("utf-8", "ignore") + suffix + ext
+    finally:
+        os.close(dir_fd)
 
 
 async def receive_file(
@@ -274,10 +285,10 @@ async def receive_file(
     frame is sent.
 
     Any protocol violation, lost connection or local I/O error aborts the
-    channel and ends in an aborted outcome; no partial file is left behind.
+    channel and ends in an aborted outcome. The body has no name until its
+    digest checks out, so nothing is left behind, even if the process dies.
     """
     received = 0
-    tmp_name = None
     try:
         subtype, payload = _split_app_frame(await chan.recv())
         if subtype != SUB_MANIFEST:
@@ -294,10 +305,7 @@ async def receive_file(
         # a destination we cannot write fails here, before the sender is told to stream
         os.makedirs(dest_dir, exist_ok=True)
         digest = hashlib.sha256()
-        with tempfile.NamedTemporaryFile(
-            mode="wb", dir=dest_dir, prefix=".partial-", suffix=".pcp", delete=False
-        ) as tmp:
-            tmp_name = tmp.name
+        with open(os.open(dest_dir, os.O_TMPFILE | os.O_WRONLY, 0o600), "wb") as body:
             await chan.send(_app_frame(SUB_ACCEPT))
             while True:
                 subtype, payload = _split_app_frame(await chan.recv())
@@ -311,30 +319,19 @@ async def receive_file(
                 data = payload[8:]
                 if offset != received or received + len(data) > manifest.size:
                     raise ProtocolError("chunk out of order")
-                tmp.write(data)
+                body.write(data)
                 digest.update(data)
                 received += len(data)
                 if progress:
                     progress(received, manifest.size)
 
-        if received != manifest.size or digest.hexdigest() != manifest.sha256_hex:
-            raise ProtocolError("content digest mismatch")
-
-        final_path = _claim_destination(dest_dir, manifest.name)
-        try:
-            os.replace(tmp_name, final_path)
-        except OSError:
-            os.unlink(final_path)
-            raise
+            if received != manifest.size or digest.hexdigest() != manifest.sha256_hex:
+                raise ProtocolError("content digest mismatch")
+            body.flush()
+            final_path = _link_into_place(body.fileno(), dest_dir, manifest.name)
     except (PcpError, OSError) as e:
         chan.abort()
         return TransferOutcome(STATUS_ABORTED, received, reason=str(e))
-    finally:
-        if tmp_name is not None:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass  # moved into place on success
 
     await chan.close()
     return TransferOutcome(

@@ -1,7 +1,12 @@
+import errno
 import hashlib
 import json
 import os
 import random
+import signal
+import stat
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -24,10 +29,10 @@ from pcp.transfer import (
 BINDING = "/pcp/1700000000/7"
 
 
-def _no_partials(dest_dir):
-    if not os.path.isdir(dest_dir):
-        return True
-    return all(not n.startswith(".partial-") for n in os.listdir(dest_dir))
+def _holds_only(dest_dir, before=(), placed=None):
+    """dest_dir lists exactly the files it held before, plus the placed file if any."""
+    listing = sorted(os.listdir(dest_dir)) if os.path.isdir(dest_dir) else []
+    return listing == sorted([*before, *([os.path.basename(placed)] if placed else [])])
 
 
 class TestManifest:
@@ -191,9 +196,9 @@ async def _yes_after_the_timeout(manifest):
     return True
 
 
-def _run_transfer(payload: bytes, tmp_path, decide=accept_all, seed=0):
+def _run_transfer(payload: bytes, tmp_path, decide=accept_all, seed=0, name="src.bin"):
     fx = _ChannelFixture(seed=seed)
-    src = tmp_path / "src.bin"
+    src = tmp_path / name
     src.write_bytes(payload)
     dest = str(tmp_path / "inbox")
 
@@ -207,6 +212,28 @@ def _run_transfer(payload: bytes, tmp_path, decide=accept_all, seed=0):
     return s_out, r_out, dest, chan_s
 
 
+_KILLED_PAST_HALF_THE_BODY = """
+import os, signal, sys
+from test_transfer import _ChannelFixture, accept_all
+from pcp.kernel import spawn
+from pcp.transfer import manifest_for_file, receive_file, send_file
+
+src, dest = sys.argv[1:]
+fx = _ChannelFixture()
+
+def kill_past_half(done, total):
+    if done > total // 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+async def main():
+    chan_s, chan_r = await fx.channels()
+    spawn(send_file(chan_s, src, manifest_for_file(src)))
+    await spawn(receive_file(chan_r, accept_all, dest, progress=kill_past_half)).join()
+
+fx.kernel.run(main())
+"""
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 3 * 1024 * 1024])
     def test_sizes_roundtrip_with_digest(self, size, tmp_path):
@@ -218,7 +245,8 @@ class TestEndToEnd:
         got = open(r_out.path, "rb").read()
         assert got == payload
         assert hashlib.sha256(got).hexdigest() == hashlib.sha256(payload).hexdigest()
-        assert _no_partials(dest)
+        assert stat.S_IMODE(os.stat(r_out.path).st_mode) == 0o600
+        assert _holds_only(dest, placed=r_out.path)
 
     def test_exact_chunk_frame_count_for_1mib(self, tmp_path):
         payload = random.Random(1).randbytes(1_048_576)
@@ -257,7 +285,7 @@ class TestEndToEnd:
         assert r_out.status == "rejected"
         assert chan_s.frames_sealed == 1  # the manifest only, never any chunk
         assert not os.path.exists(os.path.join(dest, "src.bin"))
-        assert _no_partials(dest)
+        assert _holds_only(dest)
 
     def test_unwritable_destination_aborts_before_accept(self, tmp_path):
         fx = _ChannelFixture()
@@ -334,15 +362,41 @@ class TestEndToEnd:
         s_out, r_out2, _, _ = _run_transfer(b"third copy", tmp_path)
         assert os.path.basename(r_out2.path) == "src (2).bin"
 
+    @pytest.mark.parametrize(
+        "name, placed_as",
+        [
+            ("a" * 251 + ".bin", "a" * 247 + " (1).bin"),
+            # the cut falls inside a two-byte code point, which is dropped whole
+            ("\u00e9" * 125 + "x.bin", "\u00e9" * 123 + " (1).bin"),
+            # the extension leaves no room for the stem, so the whole name is cut
+            ("a." + "b" * 253, "a." + "b" * 249 + " (1)"),
+        ],
+        ids=["ascii", "cut-inside-a-code-point", "extension-leaves-no-room"],
+    )
+    def test_colliding_255_byte_name_gets_a_counter_that_fits(self, name, placed_as, tmp_path):
+        dest = tmp_path / "inbox"
+        dest.mkdir()
+        (dest / name).write_bytes(b"already here")
+        s_out, r_out, _, _ = _run_transfer(b"new content", tmp_path, name=name)
+        assert s_out.status == r_out.status == "completed"
+        assert os.path.basename(r_out.path) == placed_as
+        assert len(placed_as.encode()) <= transfer.MAX_NAME_BYTES
+        assert (dest / name).read_bytes() == b"already here"
+        assert open(r_out.path, "rb").read() == b"new content"
+
     def test_file_appearing_at_the_chosen_name_is_never_replaced(self, tmp_path, monkeypatch):
         # Another writer creates the chosen name just before the receiver's
-        # first filesystem call on it (a claim, a rename or a replace).
-        target = str(tmp_path / "inbox" / "src.bin")
+        # first filesystem call on it (a claim, a rename, a replace or a link).
+        inbox = str(tmp_path / "inbox")
+        target = os.path.join(inbox, "src.bin")
         appeared = []
 
         def interloper_first(real, path_arg):
             def call(*args, **kwargs):
-                if args[path_arg] == target and not appeared:
+                path = args[path_arg]
+                if kwargs.get("dst_dir_fd") is not None:
+                    path = os.path.join(inbox, path)
+                if path == target and not appeared:
                     appeared.append(target)
                     with open(target, "xb") as f:
                         f.write(b"written by someone else")
@@ -357,16 +411,47 @@ class TestEndToEnd:
         assert open(target, "rb").read() == b"written by someone else"
         assert os.path.basename(r_out.path) == "src (1).bin"
         assert open(r_out.path, "rb").read() == b"new content"
-        assert _no_partials(dest)
+        assert _holds_only(dest, before=["src.bin"], placed=r_out.path)
 
-    def test_failed_placement_removes_the_claimed_name(self, tmp_path, monkeypatch):
-        def refuse(src, dst):
+    def test_failed_placement_leaves_nothing(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
             raise PermissionError("placement refused")
 
-        monkeypatch.setattr(os, "replace", refuse)
+        monkeypatch.setattr(os, "link", refuse)
         s_out, r_out, dest, _ = _run_transfer(b"new content", tmp_path)
         assert r_out.status == "aborted"
         assert r_out.reason == "placement refused"
+        assert os.listdir(dest) == []
+
+    def test_file_system_refusing_unnamed_files_aborts_before_accept(self, tmp_path, monkeypatch):
+        real_open = os.open
+
+        def no_tmpfile(path, flags, *args, **kwargs):
+            if flags & os.O_TMPFILE == os.O_TMPFILE:
+                raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", no_tmpfile)
+        s_out, r_out, dest, chan_s = _run_transfer(b"new content", tmp_path)
+        assert s_out.status == r_out.status == "aborted"
+        assert chan_s.frames_sealed == 1  # the manifest only, never any chunk
+        assert _holds_only(dest)
+
+    def test_receiver_killed_mid_body_leaves_nothing(self, tmp_path):
+        # A fresh process runs the pair and SIGKILLs itself from the receiver's
+        # progress callback at the first call past half the body, so no
+        # cleanup code of its own gets to run.
+        src = tmp_path / "src.bin"
+        src.write_bytes(random.Random(10).randbytes(1_048_576))
+        dest = tmp_path / "inbox"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(__file__), os.path.dirname(os.path.dirname(transfer.__file__))]
+        ))
+        result = subprocess.run(
+            [sys.executable, "-c", _KILLED_PAST_HALF_THE_BODY, str(src), str(dest)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == -signal.SIGKILL, result.stderr
         assert os.listdir(dest) == []
 
     def test_partition_mid_stream_aborts_and_leaves_nothing(self, tmp_path):
@@ -400,7 +485,7 @@ class TestEndToEnd:
         assert r_out.status == "aborted"
         assert s_out.status == "aborted"
         assert not os.path.exists(os.path.join(dest, "src.bin"))
-        assert _no_partials(dest)
+        assert _holds_only(dest)
 
     def test_source_mutated_after_manifest_aborts(self, tmp_path):
         # same size, different bytes: receiver's digest check must catch it
@@ -439,7 +524,7 @@ class TestEndToEnd:
         s_out, r_out = fx.kernel.run(main())
         assert s_out.status == "aborted"
         assert r_out.status == "aborted"
-        assert _no_partials(dest)
+        assert _holds_only(dest)
 
 
 def _app_frame_manifest(name_json, size_json):
@@ -478,7 +563,7 @@ class TestConfirmedPeerMisbehaves:
         assert r_out.status == "aborted"
         assert r_out.reason.startswith(reason)
         assert chan_r.aborted
-        assert _no_partials(dest)
+        assert _holds_only(dest)
 
     def test_sender_aborts_on_unexpected_reply_subtype(self, tmp_path):
         fx = _ChannelFixture()
@@ -497,7 +582,7 @@ class TestConfirmedPeerMisbehaves:
         assert s_out.reason == "expected accept/reject, got sub-type 0x04"
         assert chan_s.aborted
         assert chan_s.frames_sealed == 1  # the manifest only, never any chunk
-        assert _no_partials(str(tmp_path))
+        assert _holds_only(str(tmp_path), before=["src.bin"])
 
 
 # Any JSON value, strings drawn from every code point including lone surrogates.
@@ -558,7 +643,7 @@ class TestReceiverFuzz:
             dest = os.path.join(root, "inbox")
             outcome = fx.kernel.run(main(dest))
             assert isinstance(outcome, transfer.TransferOutcome)
-            assert _no_partials(dest)
+            assert _holds_only(dest, placed=outcome.path)
 
 
 class TestSenderFuzz:
