@@ -226,7 +226,6 @@ class SecureChannel:
 
     def __init__(self, conn: Connection, keys: SessionKeys):
         self.conn = conn
-        self.keys = keys
         self._seal = ChaCha20Poly1305(keys.k_send)
         self._open = ChaCha20Poly1305(keys.k_recv)
         self._send_label = (
@@ -238,7 +237,6 @@ class SecureChannel:
         self._send_counter = 0
         self._recv_counter = 0
         self.aborted = False
-        self.frames_sealed = 0
 
     @staticmethod
     def _nonce(counter: int) -> bytes:
@@ -268,7 +266,6 @@ class SecureChannel:
             memoryview(frame)[framing.HEADER_LEN :],
         )
         self._send_counter += 1
-        self.frames_sealed += 1
         return frame
 
     def open(self, ciphertext: bytes) -> bytes:

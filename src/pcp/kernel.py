@@ -181,9 +181,6 @@ class Kernel:
         self._seq += 1
         heapq.heappush(self._heap, (max(when, self._now), self._seq, fn))
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        self.call_at(self._now + delay, fn)
-
     def spawn(self, coro: Coroutine, name: str | None = None) -> Task:
         task = Task(self, coro, name)
         self._push_resume(task, value=None)
@@ -239,7 +236,7 @@ class Kernel:
                 task._park_seq += 1
                 if trap.timeout is not None:
                     seq = task._park_seq
-                    self.call_later(trap.timeout, lambda: self._wake(task, seq, False))
+                    self.call_at(self._now + trap.timeout, lambda: self._wake(task, seq, False))
         finally:
             self.current_task = None
 

@@ -21,9 +21,8 @@ scalar x nor the password scalar w goes through a variable-time pow there.
 It replaced libgmp.so.10's mpz_powm_sec: for a 256-bit exponent on a
 2-vCPU x86-64 VM a call takes 0.86-1.14 ms against 1.26-1.62 ms on libgmp
 and 8-12 ms on the built-in pow, and a fresh handshake pair 10.8-11.6 ms
-against 14.8-15.7 ms. Without the library, or for any other modulus, a
-non-positive exponent or a negative base, _pow is the built-in pow; both
-give the same integers.
+against 14.8-15.7 ms. Without the library, _pow is the built-in pow
+modulo P; both give the same integers.
 
 Two of each side's three fixed-base exponentiations depend on the password
 alone: its own blinding term blind**w and the peer's unblinding term
@@ -86,12 +85,13 @@ _COFACTOR = (_P - 1) // _Q
 ELEMENT_LEN = (_P.bit_length() + 7) // 8  # 384 bytes
 
 
-def _load_openssl_pow() -> Callable[[int, int, int], int] | None:
-    """Bind libcrypto's BN_mod_exp_mont_consttime as a pow(base, exp, mod), or None.
+def _load_openssl_pow() -> Callable[[int, int], int] | None:
+    """Bind libcrypto's BN_mod_exp_mont_consttime as a pow(base, exp, _P), or None.
 
     The library is opened by its soname: ctypes.util.find_library would
     start ldconfig in a child process at import. The Montgomery context
-    for _P is built here, once; every other modulus goes to pow.
+    for _P is built here, once. No call leaves the constant-time path:
+    BN_bin2bn reads a magnitude, and every caller's arguments are non-negative.
     """
     try:
         crypto = ctypes.CDLL("libcrypto.so.3")
@@ -131,11 +131,7 @@ def _load_openssl_pow() -> Callable[[int, int, int], int] | None:
     finally:
         ctx_free(ctx)
 
-    def openssl_pow(base: int, exp: int, mod: int) -> int:
-        # BN_bin2bn reads a magnitude only, so a negative base or exponent
-        # stays with pow, and so does exp 0
-        if mod != _P or exp <= 0 or base < 0:
-            return pow(base, exp, mod)
+    def openssl_pow(base: int, exp: int) -> int:
         # a BN_CTX of its own per call, so that threads may share the binding
         bns, ctx = [], None
         try:
@@ -157,7 +153,11 @@ def _load_openssl_pow() -> Callable[[int, int, int], int] | None:
     return openssl_pow
 
 
-_pow = _load_openssl_pow() or pow
+def _builtin_pow(base: int, exp: int) -> int:
+    return pow(base, exp, _P)
+
+
+_pow = _load_openssl_pow() or _builtin_pow
 
 
 def _hash_to_subgroup(seed: bytes) -> int:
@@ -166,7 +166,7 @@ def _hash_to_subgroup(seed: bytes) -> int:
     for counter in range(8):
         blocks.append(hashlib.sha512(seed + bytes([counter])).digest())
     candidate = int.from_bytes(b"".join(blocks), "big") % _P
-    element = _pow(candidate, _COFACTOR, _P)
+    element = _pow(candidate, _COFACTOR)
     if element in (0, 1):
         raise AssertionError("degenerate blinding element; seed needs changing")
     return element
@@ -222,7 +222,7 @@ def decode_element(raw: bytes) -> int:
     value = int.from_bytes(raw, "big")
     if not 1 < value < _P - 1:
         raise ProtocolError("group element out of range")
-    if _pow(value, _Q, _P) != 1:
+    if _pow(value, _Q) != 1:
         raise ProtocolError("group element not in the prime-order subgroup")
     return value
 
@@ -246,7 +246,7 @@ class PakePassword:
     def _power(self, base: int, exp: int) -> int:
         key = (base, exp)
         if key not in self._powers:
-            self._powers[key] = _pow(base, exp, _P)
+            self._powers[key] = _pow(base, exp)
         return self._powers[key]
 
     def blind(self, role: str) -> int:
@@ -278,7 +278,7 @@ class PakeParty:
         self.session_binding = session_binding
         self._password = password
         self._x = rng.randrange(1, _Q)
-        share = _pow(_G, self._x, _P)
+        share = _pow(_G, self._x)
         self._element = share * password.blind(role) % _P
         self._message = encode_element(self._element)
 
@@ -290,7 +290,7 @@ class PakeParty:
         """Unblind the peer's share and hash the transcript to a 32-byte master."""
         peer_element = decode_element(peer_message)
         unblind = self._password.unblind(self.role)
-        shared = _pow(peer_element * unblind % _P, self._x, _P)
+        shared = _pow(peer_element * unblind % _P, self._x)
         if self.role == ROLE_INITIATOR:
             msg_x, msg_y = self._message, peer_message
         else:

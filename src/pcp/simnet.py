@@ -212,6 +212,8 @@ class SimNode:
         link = links[0]
         core = _ConnectionCore(self.network, link)
         await ker.sleep(core.draw_delay())  # connect request travels
+        if self.stopped:
+            raise DialError("dialing node is stopped")
         if target.stopped or not link.up:
             self._dial_failed(to, "peer-down")
         local_end, remote_end = Connection(core, self), Connection(core, target)

@@ -315,6 +315,8 @@ async def receive_file(
                     raise ProtocolError(f"unexpected sub-type 0x{subtype:02x}")
                 if len(payload) < 8:
                     raise ProtocolError("short chunk header")
+                if len(payload) == 8:
+                    raise ProtocolError("empty chunk")
                 offset = int.from_bytes(payload[:8], "big")
                 data = payload[8:]
                 if offset != received or received + len(data) > manifest.size:

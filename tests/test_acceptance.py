@@ -215,7 +215,7 @@ def test_acceptance_4_authentication_rejection():
             # neither side may ever have sent an app frame
             for side in results.values():
                 if isinstance(side, auth.SecureChannel):
-                    assert side.frames_sealed == 0
+                    assert side._send_counter == 0
         for i in range(200):
             phrase = generate_passphrase(4, rng)
             results = await one_attempt(

@@ -456,11 +456,12 @@ class TestHandshakeOverSimnet:
 
 
 class TestSecureChannel:
+    PW = b"alfa-bravo-charlie-delta"
+
     def _channel_pair(self, seed=0):
         k, net = make_net(seed=seed)
-        pw = b"alfa-bravo-charlie-delta"
         (keys_i, chan_i), (keys_r, chan_r, _) = _handshake_pair(
-            k, net, pw, pw, allowed={BINDING}
+            k, net, self.PW, self.PW, allowed={BINDING}
         )
         return k, chan_i, chan_r
 
@@ -476,11 +477,12 @@ class TestSecureChannel:
         k.run(main())
 
     def test_seal_is_the_aead_of_the_plaintext_in_an_app_data_frame(self):
-        _, chan_i, _ = self._channel_pair()
+        k, net = make_net(seed=0)
+        (keys_i, chan_i), _ = _handshake_pair(k, net, self.PW, self.PW, allowed={BINDING})
         plaintext = random.Random(2).randbytes(1000)
         expected = framing.pack_frame(
             framing.TYPE_APP_DATA,
-            ChaCha20Poly1305(chan_i.keys.k_send).encrypt(
+            ChaCha20Poly1305(keys_i.k_send).encrypt(
                 bytes(12), plaintext, auth.LABEL_SEND_INITIATOR
             ),
         )

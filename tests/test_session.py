@@ -390,16 +390,18 @@ class TestCollisionScenarios:
         # sessions, so some sessions run several with one password
         parties = []
         fixed_base = []
+        arguments = []
         real_init, real_pow = pake.PakeParty.__init__, pake._pow
 
         def counting_init(self, *args):
             parties.append(args[1])
             real_init(self, *args)
 
-        def counting_pow(base, exp, mod):
+        def counting_pow(base, exp):
+            arguments.append((base, exp))
             if base in (pake._G, pake._M, pake._N):
                 fixed_base.append((base, exp))
-            return real_pow(base, exp, mod)
+            return real_pow(base, exp)
 
         monkeypatch.setattr(pake.PakeParty, "__init__", counting_init)
         monkeypatch.setattr(pake, "_pow", counting_pow)
@@ -427,6 +429,10 @@ class TestCollisionScenarios:
         assert len(set(password_values)) == len(password_values) <= 2 * 6
         assert len(fixed_base) == len(parties) + len(password_values)
         assert (len(parties), len(password_values), len(fixed_base)) == (16, 12, 28)
+        # the OpenSSL binding reads magnitudes: every base is reduced and
+        # every exponent is positive and at most q
+        assert arguments
+        assert all(0 <= base < pake._P and 0 < exp <= pake._Q for base, exp in arguments)
 
 
 class TestSlotHelpers:

@@ -66,6 +66,25 @@ def test_dial_stopped_node_fails():
     k.run(main())
 
 
+def test_dialer_stopped_during_its_dial_gets_no_connection():
+    k, net = make_net(lan=(0.010, 0.010), wan=False)
+
+    async def main():
+        a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
+
+        async def stop_dialer():
+            await sleep(0.005)  # halfway through the connect leg
+            a.stop()
+
+        spawn(stop_dialer())
+        with pytest.raises(DialError):
+            await a.dial(b.address)
+        assert a._conns == {} and b._conns == {}
+        assert len(b._inbound._items) == 0
+
+    k.run(main())
+
+
 def test_disjoint_links_without_wan_unreachable():
     k = Kernel(seed=0)
     net = SimulatedNetwork(k, wan=False)

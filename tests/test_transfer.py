@@ -253,7 +253,7 @@ class TestEndToEnd:
         s_out, r_out, dest, chan_s = _run_transfer(payload, tmp_path)
         assert s_out.status == "completed"
         # manifest + 16 full 64 KiB chunks + end marker
-        assert chan_s.frames_sealed == 1 + 16 + 1
+        assert chan_s._send_counter == 1 + 16 + 1
 
     def test_progress_monotone_and_complete(self, tmp_path):
         fx = _ChannelFixture()
@@ -283,7 +283,7 @@ class TestEndToEnd:
         s_out, r_out, dest, chan_s = _run_transfer(payload, tmp_path, decide=reject_all)
         assert s_out.status == "rejected"
         assert r_out.status == "rejected"
-        assert chan_s.frames_sealed == 1  # the manifest only, never any chunk
+        assert chan_s._send_counter == 1  # the manifest only, never any chunk
         assert not os.path.exists(os.path.join(dest, "src.bin"))
         assert _holds_only(dest)
 
@@ -303,7 +303,7 @@ class TestEndToEnd:
         s_out, r_out, chan_r = fx.kernel.run(main())
         assert r_out.status == "aborted"
         assert s_out.status == "aborted"
-        assert chan_r.frames_sealed == 0  # the sender was never told to stream
+        assert chan_r._send_counter == 0  # the sender was never told to stream
         assert not_a_dir.read_bytes() == b"a regular file"
         assert sorted(os.listdir(tmp_path)) == ["inbox", "src.bin"]
 
@@ -311,7 +311,7 @@ class TestEndToEnd:
         s_out, r_out, dest, chan_s = _run_transfer(b"data", tmp_path, decide=None)
         assert s_out.status == "rejected"
         assert r_out.status == "rejected"
-        assert chan_s.frames_sealed == 1
+        assert chan_s._send_counter == 1
 
     def test_decision_timeout_rejects(self, tmp_path):
         async def stall_forever(manifest):
@@ -321,7 +321,7 @@ class TestEndToEnd:
         s_out, r_out, dest, chan_s = _run_transfer(b"data", tmp_path, decide=stall_forever)
         assert s_out.status == "rejected"
         assert r_out.status == "rejected"
-        assert chan_s.frames_sealed == 1
+        assert chan_s._send_counter == 1
 
     @pytest.mark.parametrize(
         "decide, calls",
@@ -340,7 +340,7 @@ class TestEndToEnd:
             st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
             rt = spawn(receive_file(
                 chan_r, decide, str(tmp_path / "inbox"),
-                on_accept=lambda: seen.append(chan_r.frames_sealed),
+                on_accept=lambda: seen.append(chan_r._send_counter),
             ))
             return await st.join(), await rt.join()
 
@@ -434,7 +434,7 @@ class TestEndToEnd:
         monkeypatch.setattr(os, "open", no_tmpfile)
         s_out, r_out, dest, chan_s = _run_transfer(b"new content", tmp_path)
         assert s_out.status == r_out.status == "aborted"
-        assert chan_s.frames_sealed == 1  # the manifest only, never any chunk
+        assert chan_s._send_counter == 1  # the manifest only, never any chunk
         assert _holds_only(dest)
 
     def test_receiver_killed_mid_body_leaves_nothing(self, tmp_path):
@@ -565,6 +565,35 @@ class TestConfirmedPeerMisbehaves:
         assert chan_r.aborted
         assert _holds_only(dest)
 
+    def test_receiver_aborts_on_an_empty_chunk(self, tmp_path):
+        # an empty chunk moves no offset, so a stream of them would never end
+        fx = _ChannelFixture()
+        payload = b"the real body"
+        dest = str(tmp_path / "inbox")
+
+        async def main():
+            chan_s, chan_r = await fx.channels()
+            rt = spawn(receive_file(chan_r, accept_all, dest))
+            manifest = TransferManifest(
+                "src.bin", len(payload), hashlib.sha256(payload).hexdigest()
+            )
+            await chan_s.send(transfer._app_frame(transfer.SUB_MANIFEST, manifest.encode()))
+            await chan_s.recv()  # the accept
+            try:
+                for data in (b"", payload):
+                    await chan_s.send(transfer._app_frame(
+                        transfer.SUB_CHUNK, (0).to_bytes(8, "big") + data
+                    ))
+                await chan_s.send(transfer._app_frame(transfer.SUB_END))
+            except ConnectionLost:
+                pass  # the receiver gave up first
+            return await rt.join()
+
+        r_out = fx.kernel.run(main())
+        assert r_out.status == "aborted"
+        assert r_out.reason == "empty chunk"
+        assert _holds_only(dest)
+
     def test_sender_aborts_on_unexpected_reply_subtype(self, tmp_path):
         fx = _ChannelFixture()
         src = tmp_path / "src.bin"
@@ -581,7 +610,7 @@ class TestConfirmedPeerMisbehaves:
         assert s_out.status == "aborted"
         assert s_out.reason == "expected accept/reject, got sub-type 0x04"
         assert chan_s.aborted
-        assert chan_s.frames_sealed == 1  # the manifest only, never any chunk
+        assert chan_s._send_counter == 1  # the manifest only, never any chunk
         assert _holds_only(str(tmp_path), before=["src.bin"])
 
 
@@ -674,4 +703,4 @@ class TestSenderFuzz:
         assert isinstance(outcome, transfer.TransferOutcome)
         if not frames or frames[0][:1] != bytes([transfer.SUB_ACCEPT]):
             assert outcome.status != "completed"
-            assert chan_s.frames_sealed == 1  # the manifest only: no body without an accept
+            assert chan_s._send_counter == 1  # the manifest only: no body without an accept
