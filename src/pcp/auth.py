@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hmac
 import hashlib
+import mmap
 import random
 from dataclasses import dataclass
 from typing import Collection, Coroutine
@@ -51,6 +52,29 @@ MAX_PLAINTEXT = 1 + 8 + 8 * 1024 * 1024
 _MAX_MSG1 = 2 + MAX_BINDING_LEN + ELEMENT_LEN
 _CONFIRM_TAG_LEN = hashlib.sha256().digest_size
 _MAX_SEALED = MAX_PLAINTEXT + _TAG_LEN
+
+# Sealed frames are carved from send slabs: anonymous private mappings. The
+# first fits the first frame (at least _SLAB_MIN), each later one doubles the
+# last up to _SLAB_MAX, and a larger frame gets a slab of its own. Slabs of a
+# huge page or more are whole huge pages and advised MADV_HUGEPAGE, so a body
+# in flight faults in 2 MiB pages, not 4 KiB ones.
+_SLAB_MIN = 64 * 1024
+_SLAB_MAX = 8 * 1024 * 1024
+_HUGE_PAGE = 2 * 1024 * 1024
+_MADV_HUGEPAGE = getattr(mmap, "MADV_HUGEPAGE", None)
+
+
+def _new_slab(size: int) -> memoryview:
+    huge = size >= _HUGE_PAGE
+    if huge:
+        size = -(-size // _HUGE_PAGE) * _HUGE_PAGE
+    slab = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if huge and _MADV_HUGEPAGE is not None:
+        try:
+            slab.madvise(_MADV_HUGEPAGE)
+        except OSError:  # a kernel without transparent huge pages
+            pass
+    return memoryview(slab)
 
 
 @dataclass(frozen=True)
@@ -236,18 +260,21 @@ class SecureChannel:
         )
         self._send_counter = 0
         self._recv_counter = 0
+        self._slab_tail = memoryview(b"")  # the unused rest of the current send slab
         self.aborted = False
 
     @staticmethod
     def _nonce(counter: int) -> bytes:
         return b"\x00\x00\x00\x00" + counter.to_bytes(8, "big")
 
-    def seal(self, plaintext: bytes) -> bytearray:
-        """Encrypt one message into a new, complete wire frame.
+    def seal(self, plaintext: bytes) -> memoryview:
+        """Encrypt one message into a complete wire frame, a view of the send slab.
 
         The ciphertext is written straight after the header, and
-        ``plaintext`` is not kept, so the caller may reuse its buffer. A
-        message over ``MAX_PLAINTEXT`` is refused before it spends a nonce.
+        ``plaintext`` is not kept, so the caller may reuse its buffer. No
+        later seal writes into a returned frame; a slab is unmapped once its
+        last frame is dropped and the channel has moved on. A message over
+        ``MAX_PLAINTEXT`` is refused before it spends a nonce.
         """
         if self.aborted:
             raise DecryptError("channel already aborted")
@@ -257,13 +284,18 @@ class SecureChannel:
         if len(plaintext) > MAX_PLAINTEXT:
             raise ProtocolError(f"message of {len(plaintext)} bytes exceeds the sealing limit")
         length = len(plaintext) + _TAG_LEN
-        frame = bytearray(framing.HEADER_LEN + length)
+        size = framing.HEADER_LEN + length
+        if size > len(self._slab_tail):
+            doubled = min(2 * len(self._slab_tail.obj), _SLAB_MAX)
+            self._slab_tail = _new_slab(max(size, _SLAB_MIN, doubled))
+        frame = self._slab_tail[:size]
+        self._slab_tail = self._slab_tail[size:]
         frame[: framing.HEADER_LEN] = framing.pack_header(framing.TYPE_APP_DATA, length)
         self._seal.encrypt_into(
             self._nonce(self._send_counter),
             plaintext,
             self._send_label,
-            memoryview(frame)[framing.HEADER_LEN :],
+            frame[framing.HEADER_LEN :],
         )
         self._send_counter += 1
         return frame

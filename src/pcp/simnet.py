@@ -200,7 +200,7 @@ class SimNode:
     async def dial(self, to: PeerAddress) -> "Connection":
         """Open a duplex stream to ``to``; one round trip before it returns."""
         if self.stopped:
-            raise DialError("dialing node is stopped")
+            self._dial_failed(to, "dialer-stopped")
         if to.peer_id == self.address.peer_id:
             self._dial_failed(to, "self-dial")
         target = self.network.node_for(to.peer_id)
@@ -213,7 +213,7 @@ class SimNode:
         core = _ConnectionCore(self.network, link)
         await ker.sleep(core.draw_delay())  # connect request travels
         if self.stopped:
-            raise DialError("dialing node is stopped")
+            self._dial_failed(to, "dialer-stopped")
         if target.stopped or not link.up:
             self._dial_failed(to, "peer-down")
         local_end, remote_end = Connection(core, self), Connection(core, target)

@@ -176,7 +176,8 @@ async def stream_file(
     gracefully after its digest check passed and the file is in place.
 
     Each chunk is read into one reusable buffer behind its sub-type byte and
-    offset; ``seal`` encrypts it into a new frame before the next read.
+    offset; ``seal`` encrypts it, before the next read, into a frame carved
+    from the channel's send slab.
     """
     sent = 0
     message = memoryview(bytearray(CHUNK_HEADER_LEN + manifest.chunk_size))

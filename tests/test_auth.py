@@ -1,4 +1,7 @@
+import errno
+import mmap
 import random
+import weakref
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -555,6 +558,61 @@ class TestSecureChannel:
         with pytest.raises(ChannelExhausted):
             chan_i.seal(b"x")
         assert chan_i.aborted
+
+    def test_held_frames_of_mixed_sizes_all_open_intact(self):
+        _, chan_i, chan_r = self._channel_pair()
+        rng = random.Random(7)
+        plaintexts = [rng.randbytes(rng.choice((0, 1, 100, 4096, 65545, 200_000)))
+                      for _ in range(320)]
+        plaintexts[150] = rng.randbytes(auth.MAX_PLAINTEXT)
+        frames = [chan_i.seal(p) for p in plaintexts]
+        assert len({id(f.obj) for f in frames}) < len(frames)  # frames share slabs
+        for frame, plaintext in zip(frames, plaintexts):
+            assert framing.parse_header(frame[: framing.HEADER_LEN]) == (
+                framing.TYPE_APP_DATA, len(plaintext) + 16
+            )
+            assert chan_r.open(frame[framing.HEADER_LEN :]) == plaintext
+
+    def test_frames_of_a_16_MiB_body_come_from_few_mappings(self):
+        _, chan_i, _ = self._channel_pair()
+        chunk = bytes(transfer.CHUNK_HEADER_LEN + transfer.DEFAULT_CHUNK_SIZE)
+        frames = [chan_i.seal(chunk) for _ in range(16 * 1024 * 1024 // len(chunk) + 1)]
+        slabs = {id(f.obj): f.obj for f in frames}.values()
+        assert len(slabs) <= 10
+        huge = 2 * 1024 * 1024
+        assert all(len(s) % huge == 0 for s in slabs if len(s) >= huge)
+
+    def test_small_frames_share_one_small_slab(self):
+        _, chan_i, _ = self._channel_pair()
+        frames = [chan_i.seal(b"small message") for _ in range(3)]
+        assert len({id(f.obj) for f in frames}) == 1
+        assert len(frames[0].obj) <= 64 * 1024
+
+    def test_slab_is_unmapped_once_its_frames_are_dropped(self):
+        _, chan_i, _ = self._channel_pair()
+        frame = chan_i.seal(b"first")
+        slab = weakref.ref(frame.obj)
+        later = chan_i.seal(bytes(100_000))  # too big for the rest of the first slab
+        assert later.obj is not slab()
+        assert slab() is not None  # still held by ``frame``
+        del frame
+        assert slab() is None
+
+    def test_sealing_works_where_madvise_fails(self, monkeypatch):
+        advised = []
+
+        class NoHugePages(mmap.mmap):
+            def madvise(self, *args):
+                advised.append(args)
+                raise OSError(errno.EINVAL, "no transparent huge pages")
+
+        _, chan_i, chan_r = self._channel_pair()
+        monkeypatch.setattr(auth.mmap, "mmap", NoHugePages)
+        plaintexts = [bytes([i]) * auth.MAX_PLAINTEXT for i in range(2)]
+        frames = [chan_i.seal(p) for p in plaintexts]
+        assert advised
+        for frame, plaintext in zip(frames, plaintexts):
+            assert chan_r.open(frame[framing.HEADER_LEN :]) == plaintext
 
     def test_nonce_counters_strictly_monotone(self):
         k, chan_i, chan_r = self._channel_pair()

@@ -81,8 +81,36 @@ def test_dialer_stopped_during_its_dial_gets_no_connection():
             await a.dial(b.address)
         assert a._conns == {} and b._conns == {}
         assert len(b._inbound._items) == 0
+        assert _dial_failures(k) == [
+            {"src": a.address.short(), "dst": b.address.short(), "reason": "dialer-stopped"}
+        ]
 
     k.run(main())
+
+
+def test_dialer_stopped_before_it_dials_gets_a_traced_failure():
+    k, net = make_net(wan=False)
+
+    async def main():
+        a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
+        a.stop()
+        with pytest.raises(DialError):
+            await a.dial(b.address)
+        assert a._conns == {} and b._conns == {}
+        assert len(b._inbound._items) == 0
+        assert _dial_failures(k) == [
+            {"src": a.address.short(), "dst": b.address.short(), "reason": "dialer-stopped"}
+        ]
+
+    k.run(main())
+
+
+def _dial_failures(k):
+    return [
+        {key: e[key] for key in ("src", "dst", "reason")}
+        for e in k.trace.events
+        if e["event"] == "dial_failed"
+    ]
 
 
 def test_disjoint_links_without_wan_unreachable():
