@@ -6,10 +6,8 @@ simworld). ``simulate`` runs scripted scenarios — most usefully the full
 send/receive round trip in one process, with the printed passphrase fed
 from the sender's output into the receiver's argv.
 
-Exit codes: 0 success, 2 usage, 3 discovery timeout / peer not found,
-4 authentication exhausted, 5 transfer rejected, 6 I/O or transfer
-failure (also a session left waiting on work that can never come),
-7 interrupted.
+Exit codes: the table in README "CLI". A session's exit code is its
+ending's row in ``pcp.transfer.EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -26,22 +24,11 @@ from .errors import InvalidArgument, PassphraseParseError
 from .passphrase import DEFAULT_WORD_COUNT
 from .session import run_receiver, run_sender
 from .simworld import SimWorld
-from .transfer import (
-    STATUS_ABORTED,
-    STATUS_COMPLETED,
-    STATUS_FAILED,
-    STATUS_REJECTED,
-    TransferManifest,
-    TransferOutcome,
-)
+from .transfer import EXIT_CODES, STATUS_COMPLETED, TransferManifest, TransferOutcome
 
 logger = logging.getLogger("pcp.cli")
 
-EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_TIMEOUT = 3
-EXIT_AUTH = 4
-EXIT_REJECTED = 5
 EXIT_IO = 6
 EXIT_INTERRUPTED = 7
 
@@ -146,23 +133,10 @@ class _ProgressPrinter:
 
 
 def outcome_exit_code(outcome: TransferOutcome) -> int:
-    if outcome.status == STATUS_COMPLETED:
-        return EXIT_OK
-    if outcome.status == STATUS_REJECTED:
-        return EXIT_REJECTED
-    if outcome.status == STATUS_FAILED:
-        if outcome.reason in ("timeout", "not-found"):
-            return EXIT_TIMEOUT
-        if outcome.reason == "auth-exhausted":
-            return EXIT_AUTH
-        return EXIT_IO
-    return EXIT_IO  # aborted and anything else: transfer-level failure
+    return EXIT_CODES[outcome.reason]
 
 
 async def send_command(args, world: SimWorld, out) -> int:
-    if not os.path.isfile(args.file) or not os.access(args.file, os.R_OK):
-        print(f"pcp: cannot read file: {args.file}", file=out)
-        return EXIT_IO
     overrides = {}
     if args.word_count is not None:
         overrides["word_count"] = args.word_count
@@ -206,9 +180,8 @@ async def receive_command(args, world: SimWorld, out) -> int:
 def _describe(outcome: TransferOutcome) -> str:
     if outcome.status == STATUS_COMPLETED:
         return f"transfer completed ({outcome.bytes_received} bytes, digest verified)"
-    if outcome.reason:
-        return f"transfer {outcome.status} ({outcome.reason})"
-    return f"transfer {outcome.status}"
+    detail = f": {outcome.detail}" if outcome.detail else ""
+    return f"transfer {outcome.status} ({outcome.reason.value}){detail}"
 
 
 def _make_decider(args, out):

@@ -7,12 +7,13 @@ stage; every other candidate is cancelled promptly. A failed confirmation
 drops only that connection; the hunt continues until the deadline.
 
 Only the hunt and the transfer stage differ. The sender checks that its
-file opens and that its name can be sent, generates and displays the words,
-then hashes the file, publishes the rendezvous key on every configured backend
-(re-publishing when the slot rolls over), accepts inbound connections and
-authenticates each as responder, then sends the file. The receiver queries
-every backend for the current and previous slots in parallel, dials
-providers as they stream in and authenticates as initiator, then receives.
+file is a regular file that opens and that its name can be sent, generates
+and displays the words, then hashes the file, publishes the rendezvous key
+on every configured backend (re-publishing when the slot rolls over),
+accepts inbound connections and authenticates each as responder, then sends
+the file. The receiver queries every backend for the current and previous
+slots in parallel, dials providers as they stream in and authenticates as
+initiator, then receives.
 
 At most one channel per session ever reaches the transfer stage; ties
 inside one virtual tick break deterministically on lexicographic peer id.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import logging
 import os
 import random
+import stat
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Collection
 
@@ -49,6 +51,7 @@ from .transfer import (
     STATUS_COMPLETED,
     STATUS_FAILED,
     DecideFn,
+    Ending,
     ProgressFn,
     TransferOutcome,
     check_name,
@@ -176,20 +179,21 @@ class _Session:
 
     async def run(
         self,
-        no_winner: Callable[[], tuple[str, str]],
+        no_winner: Callable[[], TransferOutcome],
         transfer: Callable[[_Candidate], Awaitable[TransferOutcome]],
     ) -> TransferOutcome:
         """Pick the winner, cancel the losers, run the transfer stage, record how it ended.
 
-        ``no_winner`` gives the failed phase's detail and the outcome's
-        reason when the deadline passes without a confirmed candidate.
+        ``no_winner`` gives the outcome when the deadline passes without a
+        confirmed candidate; the failed phase carries its detail, or else
+        its ending.
         """
         try:
             winner = await self._pick_winner()
             if winner is None:
-                detail, reason = no_winner()
-                self.advance(PHASE_FAILED, detail=detail)
-                return TransferOutcome(STATUS_FAILED, reason=reason)
+                outcome = no_winner()
+                self.advance(PHASE_FAILED, detail=outcome.detail or outcome.reason.value)
+                return outcome
             self._cancel_losers()
             self.advance("awaiting-confirmation", peer=winner.peer_id[:8])
             outcome = await transfer(winner)
@@ -247,8 +251,7 @@ class _Session:
 
 
 def _cannot_send(path: str, error: Exception) -> TransferOutcome:
-    logger.error("cannot send %s: %s", path, error)
-    return TransferOutcome(STATUS_FAILED, reason="io")
+    return TransferOutcome(STATUS_FAILED, Ending.IO, detail=f"cannot send {path!r}: {error}")
 
 
 async def run_sender(
@@ -264,9 +267,14 @@ async def run_sender(
     """Whole sender lifecycle; returns the final transfer outcome."""
     rng = rng or node.kernel.rng("session")
     try:  # what can fail without reading the file fails before the code is shown
-        with open(path, "rb"):
-            check_name(os.path.basename(path))
-    except (OSError, InvalidArgument) as e:  # unreadable, or a name the manifest cannot carry
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO must not block here
+        try:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                raise InvalidArgument("not a regular file")
+        finally:
+            os.close(fd)
+        check_name(os.path.basename(path))
+    except (OSError, InvalidArgument) as e:
         return _cannot_send(path, e)
 
     words = passphrase or generate_passphrase(config.word_count, rng)
@@ -319,7 +327,10 @@ async def run_sender(
 
     session.spawn(publisher(), name="sender-publish")
     session.spawn(acceptor(), name="sender-accept")
-    return await session.run(lambda: ("discovery-timeout", "timeout"), transfer)
+    return await session.run(
+        lambda: TransferOutcome(STATUS_FAILED, Ending.NOT_FOUND, detail="discovery-timeout"),
+        transfer,
+    )
 
 
 async def run_receiver(
@@ -373,9 +384,10 @@ async def run_receiver(
                     session.spawn(pump(stream, key.id_string), name="pump")
             await ker.sleep(next_slot_delay(keys[0].slot, kernel.now()))
 
-    def no_winner() -> tuple[str, str]:
-        reason = "auth-exhausted" if session.auth_failures else "not-found"
-        return reason, reason
+    def no_winner() -> TransferOutcome:
+        return TransferOutcome(
+            STATUS_FAILED, Ending.AUTH_EXHAUSTED if session.auth_failures else Ending.NOT_FOUND
+        )
 
     session.spawn(querier(), name="receiver-query")
     return await session.run(

@@ -5,10 +5,11 @@ the sub-payload. The sender opens with a manifest (canonical JSON), waits
 for the receiver's explicit accept, then streams fixed-size chunks, each
 tagged with its byte offset, and finishes with an empty end marker. The
 receiver writes into an unnamed file (``O_TMPFILE``) in the destination
-directory, verifies the whole-file digest, and only then links it to a free
-name. A failed, rejected or killed transfer leaves nothing, because the
-kernel frees an unnamed file with its last descriptor, and ``linkat`` never
-replaces an existing file. The receiver is Linux-only for this.
+directory, allocated to the body's size before it accepts, verifies the
+whole-file digest, and only then links it to a free name. A failed,
+rejected or killed transfer leaves nothing, because the kernel frees an
+unnamed file with its last descriptor, and ``linkat`` never replaces an
+existing file. The receiver is Linux-only for this.
 
 Nothing is transmitted without an accept: silence, timeout, or a scripted
 "no" all mean reject.
@@ -20,11 +21,12 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from enum import Enum
 from typing import Awaitable, BinaryIO, Callable
 
 from .auth import MAX_PLAINTEXT, SecureChannel
-from .errors import InvalidArgument, PcpError, ProtocolError
+from .errors import ConnectionLost, InvalidArgument, PcpError, ProtocolError
 from .kernel import WaitTimeout, wait_for
 
 logger = logging.getLogger("pcp.transfer")
@@ -121,13 +123,55 @@ class TransferManifest:
             raise ProtocolError(f"manifest failed validation: {e}") from None
 
 
+class Ending(str, Enum):
+    """Every way a session can end, the same names for both roles."""
+
+    COMPLETED = "completed"
+    NOT_FOUND = "not-found"  # no peer confirmed before the discovery deadline
+    AUTH_EXHAUSTED = "auth-exhausted"  # the receiver's candidates all failed confirmation
+    DECLINED = "declined"
+    IO = "io"  # our own file: unreadable source, changed source, write or placement
+    CONNECTION_LOST = "connection-lost"
+    PEER_ERROR = "peer-error"  # a confirmed peer broke the protocol or a frame's seal
+
+
+# The CLI's exit code for each ending; README "CLI" holds the same table.
+EXIT_CODES = {
+    Ending.COMPLETED: 0,
+    Ending.NOT_FOUND: 3,
+    Ending.AUTH_EXHAUSTED: 4,
+    Ending.DECLINED: 5,
+    Ending.IO: 6,
+    Ending.CONNECTION_LOST: 6,
+    Ending.PEER_ERROR: 6,
+}
+
+
 @dataclass
 class TransferOutcome:
+    """How one role's session ended: a status, its ending and, if any, why in words."""
+
     status: str
+    reason: Ending
     bytes_received: int = 0
-    digest_verified: bool = False
-    reason: str | None = None
-    path: str | None = field(default=None)  # receiver side: final destination
+    detail: str | None = None  # the error text behind an unsuccessful ending
+    path: str | None = None  # receiver side: final destination
+
+    def __post_init__(self) -> None:
+        self.reason = Ending(self.reason)  # anything outside the set raises ValueError
+
+    @property
+    def digest_verified(self) -> bool:
+        return self.reason is Ending.COMPLETED
+
+
+def _ended_by(error: Exception) -> Ending:
+    """The ending of a data phase that ``error`` cut short."""
+    if isinstance(error, OSError):
+        return Ending.IO
+    if isinstance(error, ConnectionLost):
+        return Ending.CONNECTION_LOST
+    return Ending.PEER_ERROR
 
 
 def manifest_for_file(path: str) -> TransferManifest:
@@ -190,16 +234,16 @@ async def stream_file(
             if progress:
                 progress(sent, manifest.size)
         if sent != manifest.size:
-            raise ProtocolError("source-size-changed")
+            raise OSError("source-size-changed")
         await chan.send(_app_frame(SUB_END))
         eof = await chan.conn.recv()
         if eof != b"":
             raise ProtocolError("unexpected-trailing-data")
     except (PcpError, OSError) as e:
         chan.abort()
-        return TransferOutcome(STATUS_ABORTED, sent, reason=str(e))
+        return TransferOutcome(STATUS_ABORTED, _ended_by(e), sent, detail=str(e))
     await chan.close()
-    return TransferOutcome(STATUS_COMPLETED, sent, digest_verified=True)
+    return TransferOutcome(STATUS_COMPLETED, Ending.COMPLETED, sent)
 
 
 async def send_file(
@@ -218,7 +262,7 @@ async def send_file(
         subtype = _split_app_frame(await chan.recv())[0]
         if subtype == SUB_REJECT:
             await chan.close()
-            return TransferOutcome(STATUS_REJECTED, 0, reason="receiver-declined")
+            return TransferOutcome(STATUS_REJECTED, Ending.DECLINED, detail="receiver-declined")
         if subtype != SUB_ACCEPT:
             raise ProtocolError(f"expected accept/reject, got sub-type 0x{subtype:02x}")
         if on_accept:
@@ -227,7 +271,7 @@ async def send_file(
             return await stream_file(chan, f, manifest, progress)
     except (PcpError, OSError) as e:
         chan.abort()
-        return TransferOutcome(STATUS_ABORTED, 0, reason=str(e))
+        return TransferOutcome(STATUS_ABORTED, _ended_by(e), detail=str(e))
 
 
 # -- receiver side ------------------------------------------------------------
@@ -299,14 +343,17 @@ async def receive_file(
         if not await await_confirmation(manifest, decide):
             await chan.send(_app_frame(SUB_REJECT))
             await chan.close()
-            return TransferOutcome(STATUS_REJECTED, 0, reason="declined")
+            return TransferOutcome(STATUS_REJECTED, Ending.DECLINED)
         if on_accept:
             on_accept()
 
-        # a destination we cannot write fails here, before the sender is told to stream
+        # a destination that cannot take or hold the body fails here, before
+        # the sender is told to stream
         os.makedirs(dest_dir, exist_ok=True)
         digest = hashlib.sha256()
         with open(os.open(dest_dir, os.O_TMPFILE | os.O_WRONLY, 0o600), "wb") as body:
+            if manifest.size:
+                os.posix_fallocate(body.fileno(), 0, manifest.size)
             await chan.send(_app_frame(SUB_ACCEPT))
             while True:
                 subtype, payload = _split_app_frame(await chan.recv())
@@ -334,12 +381,7 @@ async def receive_file(
             final_path = _link_into_place(body.fileno(), dest_dir, manifest.name)
     except (PcpError, OSError) as e:
         chan.abort()
-        return TransferOutcome(STATUS_ABORTED, received, reason=str(e))
+        return TransferOutcome(STATUS_ABORTED, _ended_by(e), received, detail=str(e))
 
     await chan.close()
-    return TransferOutcome(
-        STATUS_COMPLETED,
-        received,
-        digest_verified=True,
-        path=final_path,
-    )
+    return TransferOutcome(STATUS_COMPLETED, Ending.COMPLETED, received, path=final_path)

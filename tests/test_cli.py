@@ -181,13 +181,42 @@ class TestExitCodes:
         from pcp.cli import outcome_exit_code
         from pcp.transfer import TransferOutcome
 
-        assert outcome_exit_code(TransferOutcome("completed")) == 0
-        assert outcome_exit_code(TransferOutcome("rejected")) == 5
-        assert outcome_exit_code(TransferOutcome("failed", reason="timeout")) == 3
-        assert outcome_exit_code(TransferOutcome("failed", reason="not-found")) == 3
-        assert outcome_exit_code(TransferOutcome("failed", reason="auth-exhausted")) == 4
-        assert outcome_exit_code(TransferOutcome("failed", reason="io")) == 6
-        assert outcome_exit_code(TransferOutcome("aborted")) == 6
+        assert outcome_exit_code(TransferOutcome("completed", "completed")) == 0
+        assert outcome_exit_code(TransferOutcome("rejected", "declined")) == 5
+        assert outcome_exit_code(TransferOutcome("failed", "not-found")) == 3
+        assert outcome_exit_code(TransferOutcome("failed", "auth-exhausted")) == 4
+        assert outcome_exit_code(TransferOutcome("failed", "io")) == 6
+        assert outcome_exit_code(TransferOutcome("aborted", "io")) == 6
+        assert outcome_exit_code(TransferOutcome("aborted", "connection-lost")) == 6
+        assert outcome_exit_code(TransferOutcome("aborted", "peer-error")) == 6
+
+    def test_every_ending_has_exactly_one_exit_code(self):
+        from pcp.transfer import EXIT_CODES, Ending
+
+        assert set(EXIT_CODES) == set(Ending)
+        assert all(type(code) is int for code in EXIT_CODES.values())
+
+    @pytest.mark.parametrize("reason", ["timeout", "receiver-declined", "chunk out of order", None])
+    def test_an_outcome_with_an_unknown_reason_cannot_be_built(self, reason):
+        from pcp.transfer import TransferOutcome
+
+        with pytest.raises(ValueError):
+            TransferOutcome("failed", reason)
+
+    def test_readme_table_is_the_code_table(self):
+        # README "CLI": one row per ending, then the CLI's own exit codes
+        from pcp.transfer import EXIT_CODES
+
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+            readme = f.read()
+        table = readme.split("| ending | status | exit code |")[1].split("\n\n")[0]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in table.strip().splitlines()[1:]]
+        endings = {name.strip("`"): int(code) for name, _, code in rows if name.startswith("`")}
+        assert endings == {ending.value: code for ending, code in EXIT_CODES.items()}
+        own = {name: int(code) for name, _, code in rows if not name.startswith("`")}
+        assert own == {"usage": cli.EXIT_USAGE, "stalled": cli.EXIT_IO,
+                       "interrupted": cli.EXIT_INTERRUPTED}
 
 
 class TestProgressRendering:

@@ -1,5 +1,6 @@
 import os
 import random
+import signal
 import tracemalloc
 
 import pytest
@@ -141,7 +142,8 @@ class TestTimingScenarios:
             return await run_sender(sender, cfg, payload_file(10))
 
         out = world.kernel.run(main())
-        assert out.status == "failed" and out.reason == "timeout"
+        assert out.status == "failed" and out.reason == "not-found"
+        assert out.detail == "discovery-timeout"
 
 
 class TestAuthScenarios:
@@ -239,7 +241,7 @@ class TestDeadlineOutcomes:
             return await run_sender(sender, world.config(discovery_deadline=5), payload_file(10))
 
         out = world.kernel.run(main())
-        assert (out.status, out.reason) == ("failed", "timeout")
+        assert (out.status, out.reason, out.detail) == ("failed", "not-found", "discovery-timeout")
         assert _phases(world, "sender") == ["discovering", "failed"]
         assert self._last_phase(world, "sender")["detail"] == "discovery-timeout"
 
@@ -272,7 +274,9 @@ class TestDeadlineOutcomes:
         assert (r_out.status, r_out.reason) == ("failed", "auth-exhausted")
         assert _phases(world, "receiver") == ["discovering", "authenticating", "failed"]
         assert self._last_phase(world, "receiver")["detail"] == "auth-exhausted"
-        assert (s_out.status, s_out.reason) == ("failed", "timeout")
+        assert (s_out.status, s_out.reason, s_out.detail) == (
+            "failed", "not-found", "discovery-timeout"
+        )
         assert _phases(world, "sender") == ["discovering", "authenticating", "failed"]
         assert self._last_phase(world, "sender")["detail"] == "discovery-timeout"
 
@@ -486,19 +490,39 @@ class TestSenderStart:
 
     def test_code_is_shown_before_any_byte_is_hashed(self, payload_file, monkeypatch):
         out, order, _ = self._send_alone(payload_file(5000), monkeypatch)
-        assert (out.status, out.reason) == ("failed", "timeout")
+        assert (out.status, out.reason, out.detail) == ("failed", "not-found", "discovery-timeout")
         assert order == ["code", "hash"]
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "name-with-backslash"])
+    @pytest.mark.parametrize(
+        "kind", ["missing", "directory", "name-with-backslash", "fifo", "device"]
+    )
     def test_unsendable_file_fails_before_the_code(self, kind, tmp_path, monkeypatch):
-        path = tmp_path / {"missing": "absent.bin", "directory": "folder",
-                           "name-with-backslash": "a\\b.bin"}[kind]
+        # a FIFO would block the open until a writer came, and /dev/zero
+        # would be hashed for ever; the alarm turns such a hang into a failure
+        path = {"missing": tmp_path / "absent.bin", "directory": tmp_path / "folder",
+                "name-with-backslash": tmp_path / "a\\b.bin", "fifo": tmp_path / "pipe",
+                "device": "/dev/zero"}[kind]
         if kind == "directory":
             path.mkdir()
         elif kind == "name-with-backslash":
             path.write_bytes(b"hello")
-        out, order, world = self._send_alone(str(path), monkeypatch)
+        elif kind == "fifo":
+            os.mkfifo(path)
+
+        def hung(signum, frame):
+            pytest.fail(f"the sender blocked on {path}")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            out, order, world = self._send_alone(str(path), monkeypatch)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
         assert (out.status, out.reason) == ("failed", "io")
+        assert out.detail.startswith(f"cannot send {str(path)!r}: ")
+        if kind in ("directory", "fifo", "device"):
+            assert out.detail.endswith(": not a regular file")
         assert order == []
         assert "session_start" not in [e["event"] for e in world.kernel.trace.events]
 
@@ -540,7 +564,7 @@ class TestPreAuthentication:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (out.status, out.reason) == ("failed", "timeout")
+        assert (out.status, out.reason, out.detail) == ("failed", "not-found", "discovery-timeout")
         failures = [e for e in world.kernel.trace.events if e["event"] == "auth_fail"]
         assert [e["reason"] for e in failures] == ["ProtocolError"] * 8
         assert peak < 1 << 20, peak

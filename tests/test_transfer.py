@@ -234,6 +234,28 @@ fx.kernel.run(main())
 """
 
 
+_UNDER_A_FILE_SIZE_LIMIT = """
+import json, resource, signal, sys
+from test_transfer import _ChannelFixture, accept_all
+from pcp.kernel import spawn
+from pcp.transfer import manifest_for_file, receive_file, send_file
+
+src, dest, limit = sys.argv[1], sys.argv[2], int(sys.argv[3])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+fx = _ChannelFixture()
+
+async def main():
+    chan_s, chan_r = await fx.channels()
+    st = spawn(send_file(chan_s, src, manifest_for_file(src)))
+    r_out = await spawn(receive_file(chan_r, accept_all, dest)).join()
+    return await st.join(), r_out, chan_s
+
+s_out, r_out, chan_s = fx.kernel.run(main())
+print(json.dumps([s_out.status, r_out.status, r_out.reason, r_out.detail, chan_s._send_counter]))
+"""
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 3 * 1024 * 1024])
     def test_sizes_roundtrip_with_digest(self, size, tmp_path):
@@ -420,7 +442,7 @@ class TestEndToEnd:
         monkeypatch.setattr(os, "link", refuse)
         s_out, r_out, dest, _ = _run_transfer(b"new content", tmp_path)
         assert r_out.status == "aborted"
-        assert r_out.reason == "placement refused"
+        assert (r_out.reason, r_out.detail) == ("io", "placement refused")
         assert os.listdir(dest) == []
 
     def test_file_system_refusing_unnamed_files_aborts_before_accept(self, tmp_path, monkeypatch):
@@ -435,6 +457,37 @@ class TestEndToEnd:
         s_out, r_out, dest, chan_s = _run_transfer(b"new content", tmp_path)
         assert s_out.status == r_out.status == "aborted"
         assert chan_s._send_counter == 1  # the manifest only, never any chunk
+        assert _holds_only(dest)
+
+    def test_destination_without_room_aborts_before_accept(self, tmp_path, monkeypatch):
+        def no_space(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "posix_fallocate", no_space)
+        s_out, r_out, dest, chan_s = _run_transfer(b"new content", tmp_path)
+        assert s_out.status == r_out.status == "aborted"
+        assert (r_out.reason, r_out.detail) == ("io", "[Errno 28] No space left on device")
+        assert chan_s._send_counter == 1  # the manifest only, never any chunk
+        assert _holds_only(dest)
+
+    def test_file_size_limit_below_the_body_aborts_before_accept(self, tmp_path):
+        # a fresh process lowers RLIMIT_FSIZE below the body and ignores
+        # SIGXFSZ, so growing the file past the limit fails with EFBIG
+        src = tmp_path / "src.bin"
+        src.write_bytes(random.Random(11).randbytes(1_048_576))
+        dest = tmp_path / "inbox"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(__file__), os.path.dirname(os.path.dirname(transfer.__file__))]
+        ))
+        result = subprocess.run(
+            [sys.executable, "-c", _UNDER_A_FILE_SIZE_LIMIT, str(src), str(dest), "65536"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        s_status, r_status, reason, detail, sent = json.loads(result.stdout)
+        assert (s_status, r_status, reason) == ("aborted", "aborted", "io")
+        assert detail == f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+        assert sent == 1  # the manifest only, never any chunk
         assert _holds_only(dest)
 
     def test_receiver_killed_mid_body_leaves_nothing(self, tmp_path):
@@ -504,7 +557,7 @@ class TestEndToEnd:
 
         s_out, r_out = fx.kernel.run(main())
         assert r_out.status == "aborted"
-        assert r_out.reason == "content digest mismatch"
+        assert (r_out.reason, r_out.detail) == ("peer-error", "content digest mismatch")
         assert not os.listdir(dest)
 
     def test_source_grown_after_manifest_aborts(self, tmp_path):
@@ -561,7 +614,8 @@ class TestConfirmedPeerMisbehaves:
 
         r_out, chan_r = fx.kernel.run(main())
         assert r_out.status == "aborted"
-        assert r_out.reason.startswith(reason)
+        assert r_out.reason == "peer-error"
+        assert r_out.detail.startswith(reason)
         assert chan_r.aborted
         assert _holds_only(dest)
 
@@ -591,7 +645,7 @@ class TestConfirmedPeerMisbehaves:
 
         r_out = fx.kernel.run(main())
         assert r_out.status == "aborted"
-        assert r_out.reason == "empty chunk"
+        assert (r_out.reason, r_out.detail) == ("peer-error", "empty chunk")
         assert _holds_only(dest)
 
     def test_sender_aborts_on_unexpected_reply_subtype(self, tmp_path):
@@ -608,7 +662,9 @@ class TestConfirmedPeerMisbehaves:
 
         s_out, chan_s = fx.kernel.run(main())
         assert s_out.status == "aborted"
-        assert s_out.reason == "expected accept/reject, got sub-type 0x04"
+        assert (s_out.reason, s_out.detail) == (
+            "peer-error", "expected accept/reject, got sub-type 0x04"
+        )
         assert chan_s.aborted
         assert chan_s._send_counter == 1  # the manifest only, never any chunk
         assert _holds_only(str(tmp_path), before=["src.bin"])
