@@ -234,6 +234,17 @@ fx.kernel.run(main())
 """
 
 
+def _in_a_fresh_process(script, *args):
+    """Run ``script`` in a new interpreter that can import this module and pcp."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(__file__), os.path.dirname(os.path.dirname(transfer.__file__))]
+    ))
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 _UNDER_A_FILE_SIZE_LIMIT = """
 import json, resource, signal, sys
 from test_transfer import _ChannelFixture, accept_all
@@ -466,7 +477,9 @@ class TestEndToEnd:
         monkeypatch.setattr(os, "posix_fallocate", no_space)
         s_out, r_out, dest, chan_s = _run_transfer(b"new content", tmp_path)
         assert s_out.status == r_out.status == "aborted"
-        assert (r_out.reason, r_out.detail) == ("io", "[Errno 28] No space left on device")
+        assert (r_out.reason, r_out.detail) == (
+            "io", f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        )
         assert chan_s._send_counter == 1  # the manifest only, never any chunk
         assert _holds_only(dest)
 
@@ -476,13 +489,7 @@ class TestEndToEnd:
         src = tmp_path / "src.bin"
         src.write_bytes(random.Random(11).randbytes(1_048_576))
         dest = tmp_path / "inbox"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(__file__), os.path.dirname(os.path.dirname(transfer.__file__))]
-        ))
-        result = subprocess.run(
-            [sys.executable, "-c", _UNDER_A_FILE_SIZE_LIMIT, str(src), str(dest), "65536"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        result = _in_a_fresh_process(_UNDER_A_FILE_SIZE_LIMIT, src, dest, 65536)
         assert result.returncode == 0, result.stderr
         s_status, r_status, reason, detail, sent = json.loads(result.stdout)
         assert (s_status, r_status, reason) == ("aborted", "aborted", "io")
@@ -497,13 +504,7 @@ class TestEndToEnd:
         src = tmp_path / "src.bin"
         src.write_bytes(random.Random(10).randbytes(1_048_576))
         dest = tmp_path / "inbox"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(__file__), os.path.dirname(os.path.dirname(transfer.__file__))]
-        ))
-        result = subprocess.run(
-            [sys.executable, "-c", _KILLED_PAST_HALF_THE_BODY, str(src), str(dest)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        result = _in_a_fresh_process(_KILLED_PAST_HALF_THE_BODY, src, dest)
         assert result.returncode == -signal.SIGKILL, result.stderr
         assert os.listdir(dest) == []
 
