@@ -1,13 +1,14 @@
 """Peer discovery backends: a global DHT-style store and a link-local one.
 
 Both backends answer the same two questions — "remember that I can serve
-this content key" and "who can serve this content key?" — but differ in
-scope. The global backend is one shared record store reachable from any
-node with wan connectivity, queried with a configurable per-operation
-latency; routing mechanics are deliberately not simulated because the
-protocol above only depends on record semantics and timing. The local
-backend scopes advertisements to the link(s) a node sits on, standing in
-for multicast announcement on a LAN segment.
+this content key" and "who can serve this content key?" — from one record
+store and one lookup. They differ only in scope and in their publish
+event. The global backend's one scope is the wan link, reachable from any
+node with wan connectivity; it traces ``provide`` (or ``provide_lost``).
+The local backend's scopes are the live LAN links a node sits on, standing
+in for multicast announcement on a segment; it traces one ``advertise`` per
+link. Routing mechanics are deliberately not simulated because the
+protocol above only depends on record semantics and timing.
 
 Lookups poll: the querying side typically starts before the provider has
 published, so a one-shot fetch would miss it. A stream yields each live
@@ -22,14 +23,13 @@ from dataclasses import dataclass
 
 from . import kernel as ker
 from .errors import BackendUnavailable, InvalidArgument
-from .simnet import WAN_LINK, LatencyRange, PeerAddress, SimNode, SimulatedNetwork
+from .simnet import WAN_LINK, LatencyRange, PeerAddress, SimNode, SimulatedNetwork, VirtualLink
 
 DEFAULT_TTL = 86_400.0  # records may linger for up to 24 hours
 
 
 @dataclass
 class ProviderRecord:
-    content_key: bytes
     provider: PeerAddress
     published_at: float
 
@@ -80,16 +80,20 @@ class ProviderStream:
 
 
 class DiscoveryBackend:
-    """Common surface both backend families implement.
+    """One record store and one lookup, shared by both backend families.
 
-    Each operation sleeps a uniform draw from ``op_latency`` seconds on the
-    backend's own RNG stream; lookups poll every ``query_interval`` seconds.
-    Both are checked here, so a bad sim config fails with InvalidArgument.
+    Records live under ``link id -> content key -> peer id``; re-providing
+    refreshes the publish time. A backend differs only in its default
+    timings, its ``tag``, the scopes (links) a node reaches through it, and
+    the traced method that publishes. Each operation sleeps a uniform draw
+    from ``op_latency`` seconds on the ``"<tag>.latency"`` RNG stream;
+    lookups poll every ``query_interval`` seconds. Both are checked here, so
+    a bad sim config fails with InvalidArgument.
     """
 
     op_latency: tuple[float, float]
     query_interval: float
-    rng_stream: str
+    tag: str
 
     def __init__(
         self,
@@ -108,7 +112,8 @@ class DiscoveryBackend:
         if not self.query_interval > 0:
             raise InvalidArgument(f"query interval must be positive, got {self.query_interval}")
         self._latency = LatencyRange(*self.op_latency)
-        self._rng = self.kernel.rng(self.rng_stream)
+        self._rng = self.kernel.rng(f"{self.tag}.latency")
+        self._records: dict[str, dict[bytes, dict[str, ProviderRecord]]] = {}
 
     @property
     def name(self) -> str:
@@ -124,87 +129,90 @@ class DiscoveryBackend:
     async def provide(self, node: SimNode, key: bytes):
         raise NotImplementedError
 
+    def _scopes(self, node: SimNode) -> list[VirtualLink]:
+        """The links this backend reaches from ``node``, right now."""
+        raise NotImplementedError
+
     def find_providers(self, node: SimNode, key: bytes, deadline: float) -> ProviderStream:
         """A lookup ending ``deadline`` seconds from now; it queries only while read."""
         self._check_started()
         return ProviderStream(self, node, key, self.kernel.now() + deadline)
 
-    async def _query_once(self, node: SimNode, key: bytes) -> list[PeerAddress]:
-        raise NotImplementedError
-
-
-class SimulatedDht(DiscoveryBackend):
-    """Global provider-record store with per-operation latency.
-
-    Records are keyed (content key, peer id); re-providing refreshes the
-    publish time. Nodes without wan reachability see the store as empty
-    and their publishes go nowhere, which is how partitions starve
-    discovery without turning into hard errors.
-    """
-
-    op_latency = (0.2, 0.8)
-    query_interval = 0.5
-    rng_stream = "dht.latency"
-
-    def __init__(self, network: SimulatedNetwork, **timing):
-        super().__init__(network, **timing)
-        self._records: dict[bytes, dict[str, ProviderRecord]] = {}
-
-    async def provide(self, node: SimNode, key: bytes):
+    async def _publish(self, node: SimNode, key: bytes) -> list[VirtualLink]:
+        """Store ``node``'s record under every scope it reaches; return those scopes."""
         self._check_started()
         await ker.sleep(self._latency.draw(self._rng))
-        if not self.network.wan_reachable(node):
-            self.network.trace.emit(
-                "provide_lost", backend="dht", node=node.address.short(), key=key.hex()[:16]
-            )
-            return
-        record = ProviderRecord(key, node.address, self.kernel.now())
-        self._records.setdefault(key, {})[node.address.peer_id] = record
-        self.network.trace.emit(
-            "provide", backend="dht", node=node.address.short(), key=key.hex()[:16],
-            ttl=DEFAULT_TTL,
-        )
+        record = ProviderRecord(node.address, self.kernel.now())
+        scopes = self._scopes(node)
+        for link in scopes:
+            by_peer = self._records.setdefault(link.link_id, {}).setdefault(key, {})
+            by_peer[node.address.peer_id] = record
+        return scopes
 
     async def _query_once(self, node: SimNode, key: bytes) -> list[PeerAddress]:
-        self._check_started()
+        """One answer: the live providers on every scope, less what the link loses.
+
+        The caller, ``ProviderStream.next``, has just checked that the
+        backend is started. Stale records and stopped providers are dropped
+        before the loss roll, so they draw nothing from the loss stream.
+        """
         await ker.sleep(self._latency.draw(self._rng))
-        if not self.network.wan_reachable(node):
-            return []
         now = self.kernel.now()
-        found = []
-        for record in self._records.get(key, {}).values():
-            if record.live(now) and self.network.is_live(record.provider.peer_id):
-                found.append(record.provider)
-        for addr in found:
+        found: dict[str, PeerAddress] = {}
+        for link in self._scopes(node):
+            for record in self._records.get(link.link_id, {}).get(key, {}).values():
+                if (
+                    record.live(now)
+                    and self.network.is_live(record.provider.peer_id)
+                    and not self.network.loss_roll(link)
+                ):
+                    found.setdefault(record.provider.peer_id, record.provider)
+        for addr in found.values():
             self.network.trace.emit(
                 "provider_found",
-                backend="dht",
+                backend=self.tag,
                 node=node.address.short(),
                 key=key.hex()[:16],
                 provider=addr.short(),
             )
-        return found
+        return list(found.values())
+
+
+class SimulatedDht(DiscoveryBackend):
+    """Global provider-record store: one scope, the wan link.
+
+    Nodes without wan reachability see the store as empty and their
+    publishes go nowhere, which is how partitions starve discovery without
+    turning into hard errors.
+    """
+
+    op_latency = (0.2, 0.8)
+    query_interval = 0.5
+    tag = "dht"
+
+    def _scopes(self, node: SimNode) -> list[VirtualLink]:
+        return [self.network.link(WAN_LINK)] if self.network.wan_reachable(node) else []
+
+    async def provide(self, node: SimNode, key: bytes):
+        short, key_hex = node.address.short(), key.hex()[:16]
+        if not await self._publish(node, key):
+            self.network.trace.emit("provide_lost", backend=self.tag, node=short, key=key_hex)
+            return
+        self.network.trace.emit(
+            "provide", backend=self.tag, node=short, key=key_hex, ttl=DEFAULT_TTL
+        )
 
 
 class SimulatedMdns(DiscoveryBackend):
-    """Link-scoped advertisement table standing in for multicast discovery."""
+    """Link-scoped advertisements standing in for multicast discovery."""
 
     op_latency = (0.002, 0.008)
     query_interval = 0.25
-    rng_stream = "mdns.latency"
+    tag = "mdns"
 
-    def __init__(self, network: SimulatedNetwork, **timing):
-        super().__init__(network, **timing)
-        # link id -> key -> peer id -> record
-        self._ads: dict[str, dict[bytes, dict[str, ProviderRecord]]] = {}
-
-    def _local_links(self, node: SimNode):
-        for link_id in node.links:
-            if link_id == WAN_LINK:
-                continue
-            link = self.network.link(link_id)
-            if link.up:
-                yield link
+    def _scopes(self, node: SimNode) -> list[VirtualLink]:
+        links = (self.network.link(link_id) for link_id in node.links if link_id != WAN_LINK)
+        return [link for link in links if link.up]
 
     async def provide(self, node: SimNode, key: bytes):
         await self.local_advertise(node, key)
@@ -216,40 +224,11 @@ class SimulatedMdns(DiscoveryBackend):
         (``perfbench/tracing.py``) wraps ``SimulatedMdns.local_advertise``
         by name; call ``provide`` instead.
         """
-        self._check_started()
-        await ker.sleep(self._latency.draw(self._rng))
-        record = ProviderRecord(key, node.address, self.kernel.now())
-        for link in self._local_links(node):
-            table = self._ads.setdefault(link.link_id, {}).setdefault(key, {})
-            table[node.address.peer_id] = record
+        for link in await self._publish(node, key):
             self.network.trace.emit(
                 "advertise",
-                backend="mdns",
+                backend=self.tag,
                 node=node.address.short(),
                 link=link.link_id,
                 key=key.hex()[:16],
             )
-
-    async def _query_once(self, node: SimNode, key: bytes) -> list[PeerAddress]:
-        self._check_started()
-        await ker.sleep(self._latency.draw(self._rng))
-        now = self.kernel.now()
-        found: dict[str, PeerAddress] = {}
-        for link in self._local_links(node):
-            for record in self._ads.get(link.link_id, {}).get(key, {}).values():
-                if not record.live(now):
-                    continue
-                if not self.network.is_live(record.provider.peer_id):
-                    continue
-                if self.network.loss_roll(link):
-                    continue  # this answer got lost on the segment
-                found[record.provider.peer_id] = record.provider
-        for addr in found.values():
-            self.network.trace.emit(
-                "provider_found",
-                backend="mdns",
-                node=node.address.short(),
-                key=key.hex()[:16],
-                provider=addr.short(),
-            )
-        return list(found.values())

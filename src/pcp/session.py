@@ -186,7 +186,8 @@ class _Session:
 
         ``no_winner`` gives the outcome when the deadline passes without a
         confirmed candidate; the failed phase carries its detail, or else
-        its ending.
+        its ending. A session cancelled while it holds a confirmed channel
+        aborts that channel, so the peer sees a reset at once.
         """
         try:
             winner = await self._pick_winner()
@@ -196,7 +197,11 @@ class _Session:
                 return outcome
             self._cancel_losers()
             self.advance("awaiting-confirmation", peer=winner.peer_id[:8])
-            outcome = await transfer(winner)
+            try:
+                outcome = await transfer(winner)
+            except BaseException:  # cancelled: the peer must not wait on this channel for ever
+                winner.chan.abort()
+                raise
             if outcome.status == STATUS_COMPLETED:
                 self.advance("done")
             else:
@@ -208,18 +213,17 @@ class _Session:
 
     async def _pick_winner(self) -> _Candidate | None:
         """First confirmed candidate wins; same-tick ties break on peer id."""
-        kernel = self.node.kernel
-        remaining = self.deadline_at - kernel.now()
-        if remaining <= 0:
+        try:
+            first: _Candidate = await self.winners.get(
+                timeout=self.deadline_at - self.node.kernel.now()
+            )
+        except WaitTimeout:
             return None
         try:
-            first: _Candidate = await self.winners.get(timeout=remaining)
-        except WaitTimeout:
-            try:
-                first = self.winners.get_nowait()  # confirmed exactly at the deadline
-            except QueueEmpty:
-                return None
-        await ker.sleep(0)  # let same-tick confirmations land before arbitration
+            await ker.sleep(0)  # let same-tick confirmations land before arbitration
+        except BaseException:  # cancelled while holding a confirmed channel
+            first.chan.abort()
+            raise
         tied = [first]
         while True:
             try:

@@ -42,21 +42,42 @@ def test_provide_then_find_from_other_node():
     k.run(main())
 
 
-def test_record_expires_after_ttl():
+@pytest.mark.parametrize("which", ["dht", "mdns"])
+def test_record_expires_after_ttl(which):
+    k, net, dht, mdns = make()
+    backend = {"dht": dht, "mdns": mdns}[which]
+
+    async def main():
+        a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
+        await backend.provide(a, K1)
+        await sleep(DEFAULT_TTL + 1.0)
+        assert await collect(backend.find_providers(b, K1, deadline=0.5)) == []
+        # never reappears unless re-provided
+        assert await collect(backend.find_providers(b, K1, deadline=0.5)) == []
+        await backend.provide(a, K1)
+        found = await collect(backend.find_providers(b, K1, deadline=0.5))
+        assert len(found) == 1
+
+    k.run(main())
+
+
+def test_provide_without_wan_is_lost_and_stores_nothing():
     k, net, dht, _ = make()
 
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
+        net.partition("wan")
         await dht.provide(a, K1)
-        await sleep(DEFAULT_TTL + 1.0)
-        assert await collect(dht.find_providers(b, K1, deadline=0.5)) == []
-        # never reappears unless re-provided
+        net.partition("wan", severed=False)
+        # the healed wan does not bring back a publish that went nowhere
         assert await collect(dht.find_providers(b, K1, deadline=0.5)) == []
         await dht.provide(a, K1)
         found = await collect(dht.find_providers(b, K1, deadline=0.5))
-        assert len(found) == 1
+        assert [f.peer_id for f in found] == [a.address.peer_id]
 
     k.run(main())
+    publishes = [e["event"] for e in net.trace.events if e["event"] in ("provide", "provide_lost")]
+    assert publishes == ["provide_lost", "provide"]
 
 
 def test_reprovide_refreshes_publish_time():

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from pcp.kernel import (
@@ -118,6 +120,50 @@ def test_wait_for_result_timeout_and_error():
 
     # the timed-out child cancels promptly; time stops at its deadline
     assert k.run(main()) == pytest.approx(1_700_000_003.0)
+
+
+def test_cancel_before_first_step_closes_the_coroutine():
+    k = Kernel(seed=0)
+    ran = []
+
+    async def victim():
+        ran.append("body")
+
+    async def main():
+        coro = victim()
+        t = spawn(coro)
+        assert t.cancel() is True  # main has not yielded: victim never stepped
+        assert inspect.getcoroutinestate(coro) == inspect.CORO_CLOSED
+        with pytest.raises(TaskCancelled):
+            await t.join()
+        assert t.cancelled
+
+    k.run(main())
+    assert ran == []
+
+
+def test_task_that_cancels_itself_is_cancelled_at_its_next_park():
+    k = Kernel(seed=0)
+    seen = []
+
+    async def victim():
+        me = k.current_task
+        try:
+            assert me.cancel() is True
+            seen.append("after cancel")  # the request takes effect only at a park
+            await sleep(1000)
+            seen.append("after park")
+        finally:
+            seen.append(current_time())
+
+    async def main():
+        t = spawn(victim())
+        with pytest.raises(TaskCancelled):
+            await t.join()
+        assert t.cancelled
+
+    k.run(main())
+    assert seen == ["after cancel", 1_700_000_000.0]  # prompt, not at the sleep deadline
 
 
 def test_cancel_parked_task_runs_cleanup():

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from pcp import auth, framing, pake, session
-from pcp.kernel import sleep, spawn
+from pcp.kernel import Queue, TaskCancelled, current_kernel, sleep, spawn
 from pcp.passphrase import Passphrase, generate_passphrase
 from pcp.rendezvous import receiver_query_keys, sender_publish_key
 from pcp.session import PHASE_ORDER, run_receiver, run_sender
@@ -279,6 +279,108 @@ class TestDeadlineOutcomes:
         )
         assert _phases(world, "sender") == ["discovering", "authenticating", "failed"]
         assert self._last_phase(world, "sender")["detail"] == "discovery-timeout"
+
+
+class TestCancelledSession:
+    """A receiver whose session task is cancelled must not strand the sender.
+
+    Each test cancels the receiver at one point of its lifecycle and checks
+    that its confirmed channel is reset in that tick, so the sender learns
+    of it at once instead of waiting for ever on a channel nobody reads.
+    """
+
+    @staticmethod
+    def _run(world, src_path, dest_dir, *, decide=accept_all, arm=None, cancel_after=None):
+        """Run one pair; cancel the receiver via ``arm(sender, receiver_task)`` or after a delay.
+
+        Returns the sender's outcome and the virtual times of every reset.
+        """
+        sender, receiver = world.node(), world.node()
+        codes: list[str] = []
+        kernel = world.kernel
+
+        async def main():
+            st = spawn(run_sender(sender, world.config(), src_path, on_code=codes.append))
+            while not codes:
+                await sleep(0.01)
+            rt = spawn(run_receiver(receiver, world.config(), codes[0],
+                                    dest_dir=dest_dir, decide=decide))
+            if arm is not None:
+                arm(sender, rt)
+            else:
+                await sleep(cancel_after)
+                rt.cancel()
+            with pytest.raises(TaskCancelled):
+                await rt.join()
+            return await st.join()
+
+        out = kernel.run(main())
+        resets = [e["t"] for e in kernel.trace.events
+                   if e["event"] == "conn_drop" and e["reason"] == "reset"]
+        return out, resets
+
+    @staticmethod
+    def _cancel_on_confirm(monkeypatch, before_put: bool):
+        """Cancel the receiver when its sender candidate joins the winners queue.
+
+        Cancelling just before the put leaves the candidate queued while the
+        session is parked in ``get``. Cancelling in a callback queued just
+        after the put lands once the session has taken the candidate off the
+        queue and yielded for same-tick arbitration.
+        """
+        armed = {}
+
+        class Winners(Queue):
+            def put(self, item):
+                if item.peer_id != armed.get("sender"):
+                    return super().put(item)
+                kernel = current_kernel()
+                armed["cancelled_at"] = kernel.now()
+                if before_put:
+                    armed["task"].cancel()
+                    super().put(item)
+                else:
+                    super().put(item)
+                    kernel.call_at(kernel.now(), armed["task"].cancel)
+
+        monkeypatch.setattr(session, "Queue", Winners)
+
+        def arm(sender, receiver_task):
+            armed.update(sender=sender.address.peer_id, task=receiver_task)
+
+        return arm, armed
+
+    def test_cancel_during_transfer_aborts_the_winning_channel(self, payload_file, tmp_path):
+        async def slow_decide(manifest):
+            await sleep(5.0)
+            return True
+
+        world = build_world(seed=3)
+        t0 = world.kernel.now()
+        out, resets = self._run(world, payload_file(1000), str(tmp_path),
+                                decide=slow_decide, cancel_after=2.0)
+        assert (out.status, out.reason) == ("aborted", "connection-lost")
+        assert len(resets) == 1 and 2.0 < resets[0] - t0 < 2.1
+        assert world.kernel.now() - resets[0] < 0.1  # the sender ended at once
+
+    @pytest.mark.parametrize("before_put", [False, True], ids=["arbitrating", "queued"])
+    def test_cancel_holding_a_confirmed_candidate_resets_it(
+        self, before_put, payload_file, tmp_path, monkeypatch
+    ):
+        """The receiver confirms first: the reset reaches the sender still in confirmation.
+
+        ``arbitrating``: the candidate is off the queue, in the same-tick
+        yield. ``queued``: it is still on the queue, drained on the way out.
+        """
+        world = build_world(seed=3)
+        arm, armed = self._cancel_on_confirm(monkeypatch, before_put)
+        out, resets = self._run(world, payload_file(1000), str(tmp_path), arm=arm)
+        assert resets == [round(armed["cancelled_at"], 6)]
+        fails = [e for e in world.kernel.trace.events
+                 if e["event"] == "auth_fail" and e["role"] == "sender"]
+        assert len(fails) == 1 and fails[0]["t"] - resets[0] < 0.1
+        # the sender hunts on to its deadline instead of hanging in transfer
+        assert (out.status, out.reason) == ("failed", "not-found")
 
 
 class TestCollisionScenarios:
