@@ -154,9 +154,7 @@ async def _initiate(
     )
     await conn.send(msg1)
     payload = await framing.expect_frame(conn, framing.TYPE_PAKE_MSG_2, ELEMENT_LEN)
-    if len(payload) != ELEMENT_LEN:
-        raise ProtocolError("malformed key-exchange reply")
-    master = party.derive(payload)
+    master = party.derive(payload)  # refuses a short reply, like any malformed element
     transcript = msg1 + framing.pack_frame(framing.TYPE_PAKE_MSG_2, payload)
     return derive_session_keys(master, ROLE_INITIATOR), transcript, secret.session_binding
 

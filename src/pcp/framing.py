@@ -28,11 +28,11 @@ MAX_PAYLOAD = 16 * 1024 * 1024  # sanity bound, far above any legal frame
 
 
 def pack_header(frame_type: int, length: int) -> bytes:
-    """The 6-byte header of a frame whose payload is ``length`` bytes."""
-    if frame_type not in _KNOWN_TYPES:
-        raise ProtocolError(f"unknown frame type 0x{frame_type:02x}")
-    if length > MAX_PAYLOAD:
-        raise ProtocolError(f"payload of {length} bytes exceeds frame limit")
+    """The 6-byte header of a frame whose payload is ``length`` bytes.
+
+    Only pcp's own frame types and lengths reach here, so nothing is checked;
+    ``parse_header`` checks what a peer sends.
+    """
     return bytes((PROTOCOL_VERSION, frame_type)) + length.to_bytes(4, "big")
 
 

@@ -372,12 +372,8 @@ class Event:
         return True
 
 
-class QueueEmpty(Exception):
-    pass
-
-
 class Queue:
-    """Unbounded FIFO; puts are synchronous, gets may block or time out."""
+    """Unbounded FIFO; puts are synchronous, a get waits for an item."""
 
     __slots__ = ("_items", "_waiters")
 
@@ -393,22 +389,12 @@ class Queue:
             if kernel._wake(task, seq, True):
                 break
 
-    def get_nowait(self) -> Any:
-        if not self._items:
-            raise QueueEmpty()
-        return self._items.popleft()
-
-    async def get(self, timeout: float | None = None) -> Any:
-        """Pop the next item; raise WaitTimeout if none arrives in time."""
+    async def get(self) -> Any:
+        """Pop the next item, waiting until one is put."""
         kernel = current_kernel()
-        deadline = None if timeout is None else kernel.now() + timeout
-        while True:
-            if self._items:
-                return self._items.popleft()
-            remaining = None if deadline is None else deadline - kernel.now()
-            if remaining is not None and remaining <= 0:
-                raise WaitTimeout("queue.get timed out")
+        while not self._items:
             task = kernel.current_task
             assert task is not None
             self._waiters.append((task, task._park_seq + 1))
-            await _park(remaining)
+            await _park()
+        return self._items.popleft()

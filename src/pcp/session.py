@@ -15,8 +15,10 @@ the file. The receiver queries every backend for the current and previous
 slots in parallel, dials providers as they stream in and authenticates as
 initiator, then receives.
 
-At most one channel per session ever reaches the transfer stage; ties
-inside one virtual tick break deterministically on lexicographic peer id.
+At most one channel per session ever reaches the transfer stage. The
+session wakes on the first confirmation and yields once; of the candidates
+confirmed by then, the lowest peer id wins. A candidate that confirms later,
+even in the same virtual tick, is aborted.
 
 Each session builds one PakePassword from its words, and every handshake it
 runs shares it, so the password-only exponentiations run once per session.
@@ -35,7 +37,6 @@ from . import kernel as ker
 from .auth import ROLE_INITIATOR, ROLE_RESPONDER, PakeSecret, SecureChannel, confirm_key, pake_handshake
 from .discovery import DiscoveryBackend, ProviderStream
 from .errors import BackendUnavailable, DialError, InvalidArgument, PcpError
-from .kernel import Queue, QueueEmpty, WaitTimeout
 from .pake import PakePassword
 from .passphrase import (
     DEFAULT_WORD_COUNT,
@@ -45,7 +46,7 @@ from .passphrase import (
     generate_passphrase,
     parse_passphrase,
 )
-from .rendezvous import next_slot_delay, receiver_query_keys, sender_publish_key
+from .rendezvous import DiscoveryKey, next_slot_delay, receiver_query_keys, sender_publish_key
 from .simnet import Connection, PeerAddress, SimNode
 from .transfer import (
     STATUS_COMPLETED,
@@ -93,16 +94,17 @@ class _Candidate:
     peer_id: str
     chan: SecureChannel
     binding: str
-    confirmed_at: float
 
 
 class _Session:
     """One session's lifecycle, the same for both roles.
 
     Holds the channel, the password every handshake shares, the discovery
-    deadline and the queue of confirmed candidates. Phases only move forward
-    and are mirrored to the trace. A role supplies its hunting tasks, what a
-    missed deadline means, and its transfer stage; ``run`` does the rest.
+    deadline, the rendezvous ids it is bound to and the list of confirmed
+    candidates. Phases only move forward and are mirrored to the trace. A
+    role supplies what it starts for each rendezvous key, what a missed
+    deadline means, and its transfer stage; ``each_slot`` and ``run`` do
+    the rest.
     """
 
     def __init__(
@@ -120,7 +122,9 @@ class _Session:
         self.password = PakePassword(words.secret_bytes())
         self.phase = PHASE_ORDER[0]
         self.auth_failures = 0
-        self.winners: Queue = Queue()
+        self.bindings: set[str] = set()
+        self.confirmed: list[_Candidate] = []
+        self.any_confirmed = ker.Event()
         self._tasks: list[ker.Task] = []
         self._cancelled = False
         self.emit("phase", phase=self.phase)
@@ -150,7 +154,7 @@ class _Session:
     async def authenticate(
         self, conn: Connection, binding: str, allowed_bindings: Collection[str] = frozenset()
     ) -> None:
-        """Handshake and confirm one candidate; a confirmed channel joins ``winners``.
+        """Handshake and confirm one candidate; a confirmed one joins ``confirmed``.
 
         The sender is always the responder and the receiver the initiator.
         A failure drops only this connection: the auth layer aborts it on
@@ -175,7 +179,23 @@ class _Session:
             self.emit("auth_fail", peer=peer.short(), reason=type(e).__name__)
             return
         self.emit("auth_ok", peer=peer.short())
-        self.winners.put(_Candidate(peer.peer_id, chan, binding, self.node.kernel.now()))
+        self.confirmed.append(_Candidate(peer.peer_id, chan, binding))
+        self.any_confirmed.set()
+
+    async def each_slot(
+        self,
+        keys_at: Callable[[int, float], list[DiscoveryKey]],
+        start: Callable[[DiscoveryKey], Awaitable[None]],
+    ) -> None:
+        """At each slot boundary, ``start`` every key whose id is not in ``bindings`` yet."""
+        kernel = self.node.kernel
+        while True:
+            keys = keys_at(self.channel, kernel.now())
+            for key in keys:
+                if key.id_string not in self.bindings:
+                    self.bindings.add(key.id_string)
+                    await start(key)
+            await ker.sleep(next_slot_delay(keys[0].slot, kernel.now()))
 
     async def run(
         self,
@@ -212,40 +232,23 @@ class _Session:
             self._cancel_losers()
 
     async def _pick_winner(self) -> _Candidate | None:
-        """First confirmed candidate wins; same-tick ties break on peer id."""
-        try:
-            first: _Candidate = await self.winners.get(
-                timeout=self.deadline_at - self.node.kernel.now()
-            )
-        except WaitTimeout:
+        """Wake on the first confirmation, yield once, then take the lowest peer id listed."""
+        if not await self.any_confirmed.wait(self.deadline_at - self.node.kernel.now()):
             return None
-        try:
-            await ker.sleep(0)  # let same-tick confirmations land before arbitration
-        except BaseException:  # cancelled while holding a confirmed channel
-            first.chan.abort()
-            raise
-        tied = [first]
-        while True:
-            try:
-                tied.append(self.winners.get_nowait())
-            except QueueEmpty:
-                break
-        same_tick = [c for c in tied if c.confirmed_at == first.confirmed_at]
-        winner = min(same_tick, key=lambda c: c.peer_id)
-        for candidate in tied:
-            if candidate is not winner:
-                candidate.chan.abort()
+        await ker.sleep(0)  # let same-tick confirmations land before arbitration
+        winner = min(self.confirmed, key=lambda c: c.peer_id)
+        self.confirmed.remove(winner)
+        for loser in self.confirmed:
+            loser.chan.abort()
+        self.confirmed.clear()
         self.emit("winner", peer=winner.peer_id[:8], binding=winner.binding)
         return winner
 
     def _cancel_losers(self) -> None:
         """Tear down everything except the winning channel, promptly."""
-        while True:
-            try:
-                late: _Candidate = self.winners.get_nowait()
-            except QueueEmpty:
-                break
+        for late in self.confirmed:  # left here only by a cancelled session
             late.chan.abort()
+        self.confirmed.clear()
         if self._cancelled:
             return
         self._cancelled = True
@@ -289,31 +292,26 @@ async def run_sender(
     except OSError as e:
         return _cannot_send(path, e)
     session = _Session(node, ROLE_SENDER, config, words, rng)
-    kernel = node.kernel
-    published: set[str] = set()
 
-    async def publisher() -> None:
-        while True:
-            key = sender_publish_key(session.channel, kernel.now())
-            if key.id_string not in published:
-                published.add(key.id_string)
-                # all backends in parallel: a slow global publish must not
-                # hold back the local advertisement
-                writes = [
-                    session.spawn(backend.provide(node, key.content_key), name="publish")
-                    for backend in config.backends
-                ]
-                for write in writes:
-                    try:
-                        await write.join()
-                    except PcpError as e:
-                        logger.warning("publish failed on one backend: %s", e)
-            await ker.sleep(next_slot_delay(key.slot, kernel.now()))
+    async def publish(key: DiscoveryKey) -> None:
+        # all backends in parallel: a slow global publish must not hold back
+        # the local advertisement
+        writes = [
+            session.spawn(backend.provide(node, key.content_key), name="publish")
+            for backend in config.backends
+        ]
+        for write in writes:
+            try:
+                await write.join()
+            except PcpError as e:
+                logger.warning("publish failed on one backend: %s", e)
 
     async def acceptor() -> None:
         while True:
             conn = await node.accept()
-            session.spawn(session.authenticate(conn, "", published), name="sender-candidate")
+            session.spawn(
+                session.authenticate(conn, "", session.bindings), name="sender-candidate"
+            )
 
     async def transfer(winner: _Candidate) -> TransferOutcome:
         node.network.trace.emit(
@@ -329,7 +327,11 @@ async def run_sender(
             on_accept=lambda: session.advance("transferring"),
         )
 
-    session.spawn(publisher(), name="sender-publish")
+    session.spawn(
+        # sender_publish_key is looked up at each call, so tests can replace it
+        session.each_slot(lambda channel, now: [sender_publish_key(channel, now)], publish),
+        name="sender-publish",
+    )
     session.spawn(acceptor(), name="sender-accept")
     return await session.run(
         lambda: TransferOutcome(STATUS_FAILED, Ending.NOT_FOUND, detail="discovery-timeout"),
@@ -349,7 +351,6 @@ async def run_receiver(
 ) -> TransferOutcome:
     """Whole receiver lifecycle; returns the final transfer outcome."""
     session = _Session(node, ROLE_RECEIVER, config, parse_passphrase(passphrase_text), rng)
-    kernel = node.kernel
     dialed: set[str] = set()
 
     async def candidate(addr: PeerAddress, binding: str) -> None:
@@ -369,31 +370,21 @@ async def run_receiver(
         except BackendUnavailable:
             logger.warning("a discovery backend stopped mid-lookup")
 
-    async def querier() -> None:
-        started: set[str] = set()
-        while True:
-            remaining = session.deadline_at - kernel.now()
-            if remaining <= 0:
-                return
-            keys = receiver_query_keys(session.channel, kernel.now())
-            for key in keys:
-                if key.id_string in started:
-                    continue
-                started.add(key.id_string)
-                for backend in config.backends:
-                    try:
-                        stream = backend.find_providers(node, key.content_key, deadline=remaining)
-                    except BackendUnavailable:
-                        continue
-                    session.spawn(pump(stream, key.id_string), name="pump")
-            await ker.sleep(next_slot_delay(keys[0].slot, kernel.now()))
+    async def query(key: DiscoveryKey) -> None:
+        remaining = session.deadline_at - node.kernel.now()
+        for backend in config.backends:
+            try:
+                stream = backend.find_providers(node, key.content_key, deadline=remaining)
+            except BackendUnavailable:
+                continue
+            session.spawn(pump(stream, key.id_string), name="pump")
 
     def no_winner() -> TransferOutcome:
         return TransferOutcome(
             STATUS_FAILED, Ending.AUTH_EXHAUSTED if session.auth_failures else Ending.NOT_FOUND
         )
 
-    session.spawn(querier(), name="receiver-query")
+    session.spawn(session.each_slot(receiver_query_keys, query), name="receiver-query")
     return await session.run(
         no_winner,
         lambda winner: receive_file(

@@ -402,6 +402,50 @@ class TestHandshakeOverSimnet:
 
         k.run(main())
 
+    @pytest.mark.parametrize(
+        "msg1, error",
+        [
+            (b"\x00", "truncated key-exchange message"),
+            ((0).to_bytes(2, "big") + bytes(ELEMENT_LEN), "malformed key-exchange message"),
+            ((auth.MAX_BINDING_LEN + 1).to_bytes(2, "big") + b"a" * auth.MAX_BINDING_LEN
+             + bytes(ELEMENT_LEN), "malformed key-exchange message"),
+            ((1).to_bytes(2, "big") + b"a" + bytes(ELEMENT_LEN + 1),
+             "malformed key-exchange message"),
+        ],
+        ids=["truncated-length", "empty-binding", "binding-over-512-bytes", "length-mismatch"],
+    )
+    def test_malformed_msg1_refused_with_a_reset(self, msg1, error):
+        k, net = make_net()
+
+        async def main():
+            a, b = await _conn_pair(net)
+            await a.send(_header(framing.TYPE_PAKE_MSG_1, len(msg1)) + msg1)
+            with pytest.raises(ProtocolError, match=error):
+                await pake_handshake(
+                    b, PakeSecret(b"pw-pw", ""), auth.ROLE_RESPONDER, k.rng("crypto"),
+                    allowed_bindings={BINDING},
+                )
+            with pytest.raises(ConnectionLost):
+                await a.recv()
+
+        k.run(main())
+
+    def test_short_msg2_refused_with_a_reset(self):
+        k, net = make_net()
+
+        async def main():
+            a, b = await _conn_pair(net)
+            short = bytes(ELEMENT_LEN - 1)
+            await b.send(_header(framing.TYPE_PAKE_MSG_2, len(short)) + short)
+            with pytest.raises(ProtocolError):
+                await pake_handshake(
+                    a, PakeSecret(b"pw-pw", BINDING), auth.ROLE_INITIATOR, k.rng("crypto"),
+                )
+            with pytest.raises(ConnectionLost):
+                await b.recv_exactly(1 << 20)  # msg1, then the abort
+
+        k.run(main())
+
     @pytest.mark.parametrize("plan", [
         TamperPlan(direction="fwd", frame_index=0, byte_index=100),  # pake msg 1
         TamperPlan(direction="rev", frame_index=0, byte_index=50),   # pake msg 2

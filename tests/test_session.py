@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from pcp import auth, framing, pake, session
-from pcp.kernel import Queue, TaskCancelled, current_kernel, sleep, spawn
+from pcp.kernel import Event, TaskCancelled, current_kernel, sleep, spawn
 from pcp.passphrase import Passphrase, generate_passphrase
 from pcp.rendezvous import receiver_query_keys, sender_publish_key
 from pcp.session import PHASE_ORDER, run_receiver, run_sender
@@ -195,6 +195,62 @@ class TestAuthScenarios:
         assert s_out.status == "completed"
         assert r_out.status == "completed"
 
+    def test_backend_stopped_after_the_publish_is_skipped_by_the_lookup(
+        self, payload_file, tmp_path
+    ):
+        # the sender's record is already on the DHT, but the DHT is down by
+        # the time the receiver looks: its lookup is skipped and mDNS
+        # carries discovery alone
+        world = build_world(seed=16)
+        cfg = world.config()
+        sender, receiver = world.node(), world.node()
+        code_box = []
+
+        async def main():
+            st = spawn(run_sender(sender, cfg, payload_file(2500), on_code=code_box.append))
+            while not code_box:
+                await sleep(0.01)
+            await sleep(1.0)  # well past the slowest DHT write
+            world.dht.stop()
+            rt = spawn(run_receiver(receiver, cfg, code_box[0],
+                                    dest_dir=str(tmp_path / "inbox"), decide=accept_all))
+            return await st.join(), await rt.join()
+
+        s_out, r_out = world.kernel.run(main())
+        assert (s_out.status, r_out.status) == ("completed", "completed")
+        events = world.kernel.trace.events
+        assert [e["backend"] for e in events if e["event"] == "provide"] == ["dht"]
+        assert {e["backend"] for e in events if e["event"] == "provider_found"} == {"mdns"}
+
+    def test_provider_stopped_before_the_dial_lands(self, payload_file, tmp_path):
+        world = build_world(seed=17)
+        cfg = world.config(discovery_deadline=5)
+        sender, receiver = world.node(), world.node()
+        code_box = []
+        dial = receiver.dial
+
+        async def dial_a_stopping_sender(addr):
+            sender.stop()  # the connect request is already on its way
+            return await dial(addr)
+
+        receiver.dial = dial_a_stopping_sender
+
+        async def main():
+            st = spawn(run_sender(sender, cfg, payload_file(2500), on_code=code_box.append))
+            while not code_box:
+                await sleep(0.01)
+            r_out = await run_receiver(receiver, cfg, code_box[0],
+                                       dest_dir=str(tmp_path / "inbox"), decide=accept_all)
+            return await st.join(), r_out
+
+        # kernel.run raises if any task failed
+        s_out, r_out = world.kernel.run(main())
+        assert (r_out.status, r_out.reason) == ("failed", "not-found")
+        assert (s_out.reason, s_out.detail) == ("not-found", "discovery-timeout")
+        dials = [(e["event"], e.get("reason")) for e in world.kernel.trace.events
+                 if e["event"] in ("dial_failed", "conn_open")]
+        assert dials == [("dial_failed", "peer-down")]
+
     def test_receiver_decline_gives_rejected_on_both_sides(self, payload_file, tmp_path):
         world = build_world(seed=12)
         s_out, r_out, _ = run_pair(
@@ -321,29 +377,39 @@ class TestCancelledSession:
 
     @staticmethod
     def _cancel_on_confirm(monkeypatch, before_put: bool):
-        """Cancel the receiver when its sender candidate joins the winners queue.
+        """Cancel the receiver when its sender candidate joins the confirmed list.
 
-        Cancelling just before the put leaves the candidate queued while the
-        session is parked in ``get``. Cancelling in a callback queued just
-        after the put lands once the session has taken the candidate off the
-        queue and yielded for same-tick arbitration.
+        Cancelling just before the session is woken leaves the candidate
+        listed while the session is parked in its wait. Cancelling in a
+        callback queued just after the wake lands once the session has woken
+        and yielded for same-tick arbitration.
         """
         armed = {}
 
-        class Winners(Queue):
-            def put(self, item):
-                if item.peer_id != armed.get("sender"):
-                    return super().put(item)
+        class Confirmation(Event):
+            def __init__(self, confirmed):
+                super().__init__()
+                self.confirmed = confirmed
+
+            def set(self):
+                if self.confirmed[-1].peer_id != armed.get("sender"):
+                    return super().set()
                 kernel = current_kernel()
                 armed["cancelled_at"] = kernel.now()
                 if before_put:
                     armed["task"].cancel()
-                    super().put(item)
+                    super().set()
                 else:
-                    super().put(item)
+                    super().set()
                     kernel.call_at(kernel.now(), armed["task"].cancel)
 
-        monkeypatch.setattr(session, "Queue", Winners)
+        init = session._Session.__init__
+
+        def hooked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.any_confirmed = Confirmation(self.confirmed)
+
+        monkeypatch.setattr(session._Session, "__init__", hooked_init)
 
         def arm(sender, receiver_task):
             armed.update(sender=sender.address.peer_id, task=receiver_task)
@@ -369,8 +435,9 @@ class TestCancelledSession:
     ):
         """The receiver confirms first: the reset reaches the sender still in confirmation.
 
-        ``arbitrating``: the candidate is off the queue, in the same-tick
-        yield. ``queued``: it is still on the queue, drained on the way out.
+        ``arbitrating``: the session is in the same-tick yield. ``queued``:
+        it has not woken yet. Either way the candidate is still listed, and
+        is aborted on the way out.
         """
         world = build_world(seed=3)
         arm, armed = self._cancel_on_confirm(monkeypatch, before_put)

@@ -586,6 +586,14 @@ def _app_frame_manifest(name_json, size_json):
     return transfer._app_frame(transfer.SUB_MANIFEST, doc.encode())
 
 
+_BODY = b"the real body"
+_BODY_MANIFEST = TransferManifest("src.bin", len(_BODY), hashlib.sha256(_BODY).hexdigest())
+
+
+def _chunk_frame(offset, data):
+    return transfer._app_frame(transfer.SUB_CHUNK, offset.to_bytes(8, "big") + data)
+
+
 class TestConfirmedPeerMisbehaves:
     """A peer that passed key confirmation still gets every message checked."""
 
@@ -620,25 +628,35 @@ class TestConfirmedPeerMisbehaves:
         assert chan_r.aborted
         assert _holds_only(dest)
 
-    def test_receiver_aborts_on_an_empty_chunk(self, tmp_path):
-        # an empty chunk moves no offset, so a stream of them would never end
+    @pytest.mark.parametrize(
+        "first, detail",
+        [
+            # an empty chunk moves no offset, so a stream of them would never end
+            (_chunk_frame(0, b""), "empty chunk"),
+            (transfer._app_frame(transfer.SUB_CHUNK, bytes(5)), "short chunk header"),
+            (_chunk_frame(1, _BODY), "chunk out of order"),
+            (_chunk_frame(0, _BODY + b"!"), "chunk out of order"),
+            (transfer._app_frame(transfer.SUB_MANIFEST, _BODY_MANIFEST.encode()),
+             "unexpected sub-type 0x01"),
+            (transfer._app_frame(transfer.SUB_ACCEPT), "unexpected sub-type 0x02"),
+        ],
+        ids=[
+            "empty-chunk", "short-chunk-header", "chunk-at-offset-1",
+            "chunk-past-the-size", "second-manifest", "accept",
+        ],
+    )
+    def test_receiver_aborts_on_a_bad_frame_after_accept(self, first, detail, tmp_path):
         fx = _ChannelFixture()
-        payload = b"the real body"
         dest = str(tmp_path / "inbox")
 
         async def main():
             chan_s, chan_r = await fx.channels()
             rt = spawn(receive_file(chan_r, accept_all, dest))
-            manifest = TransferManifest(
-                "src.bin", len(payload), hashlib.sha256(payload).hexdigest()
-            )
-            await chan_s.send(transfer._app_frame(transfer.SUB_MANIFEST, manifest.encode()))
+            await chan_s.send(transfer._app_frame(transfer.SUB_MANIFEST, _BODY_MANIFEST.encode()))
             await chan_s.recv()  # the accept
             try:
-                for data in (b"", payload):
-                    await chan_s.send(transfer._app_frame(
-                        transfer.SUB_CHUNK, (0).to_bytes(8, "big") + data
-                    ))
+                for frame in (first, _chunk_frame(0, _BODY)):
+                    await chan_s.send(frame)
                 await chan_s.send(transfer._app_frame(transfer.SUB_END))
             except ConnectionLost:
                 pass  # the receiver gave up first
@@ -646,7 +664,7 @@ class TestConfirmedPeerMisbehaves:
 
         r_out = fx.kernel.run(main())
         assert r_out.status == "aborted"
-        assert (r_out.reason, r_out.detail) == ("peer-error", "empty chunk")
+        assert (r_out.reason, r_out.detail) == ("peer-error", detail)
         assert _holds_only(dest)
 
     def test_sender_aborts_on_unexpected_reply_subtype(self, tmp_path):
