@@ -13,6 +13,18 @@ The scheduler is intentionally tiny: tasks suspend by yielding a single
 built from wake-ups with stale-wake protection. Cancellation is delivered
 as a ``Cancelled`` throw at the task's next suspension point and is prompt:
 a cancelled task runs its cleanup on the very next tick.
+
+Besides the kernel's own thread there is one process-wide worker thread,
+``WORKER``, for the two CPU floors of a session: the PAKE's exponentiations
+that do not depend on each other, and the receiver's SHA-256 of the body.
+Its thread starts on the first submit, never at import. Its rules keep the
+schedule, the RNG draws and the trace the same as on one thread:
+
+- a job is a leaf call into C code that releases the GIL (``_pow``, a
+  ``hashlib`` ``update``), and touches no kernel state;
+- a job never submits another job and never waits on one;
+- the kernel thread takes a result only through ``Future.result()``, inside
+  a synchronous call, so no task can tell that the worker exists.
 """
 
 from __future__ import annotations
@@ -23,11 +35,30 @@ import json
 import logging
 import random
 from collections import deque
+from concurrent import futures
 from typing import Any, Callable, Coroutine, Iterator
 
 logger = logging.getLogger("pcp.kernel")
 
 DEFAULT_START_TIME = 1_700_000_000.0  # fixed epoch for reproducible runs
+
+# the worker thread; its rules are in the module docstring
+WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="pcp-worker")
+
+
+def overlap(job: Callable[[], Any], here: Callable[[], Any]) -> tuple[Any, Any]:
+    """Run ``job`` on the worker while this thread runs ``here``; return both results.
+
+    The job is waited for even when ``here`` raises, so none outlives the
+    call: its outcome is then dropped and ``here``'s error propagates.
+    """
+    future = WORKER.submit(job)
+    try:
+        mine = here()
+    except BaseException:
+        futures.wait((future,))
+        raise
+    return future.result(), mine
 
 
 class Cancelled(BaseException):

@@ -24,6 +24,13 @@ and 8-12 ms on the built-in pow, and a fresh handshake pair 10.8-11.6 ms
 against 14.8-15.7 ms. Without the library, _pow is the built-in pow
 modulo P; both give the same integers.
 
+Exponentiations that do not depend on each other overlap on the kernel's
+worker thread (pcp.kernel.overlap): a party's construction computes G**x
+there while the caller computes blind**w, and derive computes the shared
+secret there, unblinding first, while the caller runs the subgroup check.
+derive checks the peer element's length and range before either starts.
+Each job looks _pow up when it runs, so a replaced _pow reaches it too.
+
 Two of each side's three fixed-base exponentiations depend on the password
 alone: its own blinding term blind**w and the peer's unblinding term
 peer_blind**(q - w). A PakePassword computes each once, on first use, and
@@ -42,6 +49,7 @@ import random
 from collections.abc import Callable
 
 from .errors import InvalidArgument, ProtocolError
+from .kernel import overlap
 
 
 ROLE_INITIATOR = "initiator"
@@ -215,13 +223,19 @@ def encode_element(x: int) -> bytes:
     return x.to_bytes(ELEMENT_LEN, "big")
 
 
-def decode_element(raw: bytes) -> int:
-    """Parse and validate a peer's group element; rejects out-of-group junk."""
+def _element_in_range(raw: bytes) -> int:
+    """A peer's element as an integer, checked for length and range only."""
     if len(raw) != ELEMENT_LEN:
         raise ProtocolError(f"group element must be {ELEMENT_LEN} bytes, got {len(raw)}")
     value = int.from_bytes(raw, "big")
     if not 1 < value < _P - 1:
         raise ProtocolError("group element out of range")
+    return value
+
+
+def decode_element(raw: bytes) -> int:
+    """Parse and validate a peer's group element; rejects out-of-group junk."""
+    value = _element_in_range(raw)
     if _pow(value, _Q) != 1:
         raise ProtocolError("group element not in the prime-order subgroup")
     return value
@@ -278,8 +292,8 @@ class PakeParty:
         self.session_binding = session_binding
         self._password = password
         self._x = rng.randrange(1, _Q)
-        share = _pow(_G, self._x)
-        self._element = share * password.blind(role) % _P
+        share, blind = overlap(lambda: _pow(_G, self._x), lambda: password.blind(role))
+        self._element = share * blind % _P
         self._message = encode_element(self._element)
 
     def message(self) -> bytes:
@@ -287,10 +301,17 @@ class PakeParty:
         return self._message
 
     def derive(self, peer_message: bytes) -> bytes:
-        """Unblind the peer's share and hash the transcript to a 32-byte master."""
-        peer_element = decode_element(peer_message)
-        unblind = self._password.unblind(self.role)
-        shared = _pow(peer_element * unblind % _P, self._x)
+        """Unblind the peer's share and hash the transcript to a 32-byte master.
+
+        The worker computes the shared secret while this thread runs the
+        subgroup check; a peer element that fails the check raises here,
+        and the shared secret computed for it is dropped.
+        """
+        peer_element = _element_in_range(peer_message)
+        shared, _ = overlap(
+            lambda: _pow(peer_element * self._password.unblind(self.role) % _P, self._x),
+            lambda: decode_element(peer_message),
+        )
         if self.role == ROLE_INITIATOR:
             msg_x, msg_y = self._message, peer_message
         else:

@@ -6,7 +6,9 @@ for the receiver's explicit accept, then streams fixed-size chunks, each
 tagged with its byte offset, and finishes with an empty end marker. The
 receiver writes into an unnamed file (``O_TMPFILE``) in the destination
 directory, allocated to the body's size before it accepts, verifies the
-whole-file digest, and only then links it to a free name. A failed,
+whole-file digest, and only then links it to a free name. The chunks are
+written as they arrive and hashed on pcp.kernel's worker thread, in batches
+of DIGEST_BATCH bytes with at most one batch outstanding. A failed,
 rejected or killed transfer leaves nothing, because the kernel frees an
 unnamed file with its last descriptor, and ``linkat`` never replaces an
 existing file. The receiver is Linux-only for this.
@@ -27,7 +29,7 @@ from typing import Awaitable, BinaryIO, Callable
 
 from .auth import MAX_PLAINTEXT, SecureChannel
 from .errors import ConnectionLost, InvalidArgument, PcpError, ProtocolError
-from .kernel import WaitTimeout, wait_for
+from .kernel import WORKER, WaitTimeout, wait_for
 
 logger = logging.getLogger("pcp.transfer")
 
@@ -42,6 +44,7 @@ DEFAULT_CHUNK_SIZE = 65536
 MAX_CHUNK_SIZE = MAX_PLAINTEXT - CHUNK_HEADER_LEN  # 8 MiB
 MAX_NAME_BYTES = 255
 DECISION_TIMEOUT = 60.0  # seconds the receiver's decision may take; silence is a no
+DIGEST_BATCH = 1024 * 1024  # body bytes per SHA-256 job of the receiver's worker
 
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -193,6 +196,11 @@ def manifest_for_file(path: str) -> TransferManifest:
         size=size,
         sha256_hex=h.hexdigest(),
     )
+
+
+def _hash_all(digest, parts: list) -> None:
+    for part in parts:
+        digest.update(part)
 
 
 def _app_frame(subtype: int, payload: bytes = b"") -> bytes:
@@ -350,7 +358,11 @@ async def receive_file(
         # a destination that cannot take or hold the body fails here, before
         # the sender is told to stream
         os.makedirs(dest_dir, exist_ok=True)
-        digest = hashlib.sha256()
+        # the body's SHA-256 runs on the worker, one batch of chunks at a
+        # time; waiting for a batch before the next is submitted holds about
+        # two batches of plaintext. A batch still hashing when the transfer
+        # aborts finishes on its own and is dropped: hashing bytes cannot fail
+        digest, batch, batched, hashing = hashlib.sha256(), [], 0, None
         with open(os.open(dest_dir, os.O_TMPFILE | os.O_WRONLY, 0o600), "wb") as body:
             if manifest.size:
                 os.posix_fallocate(body.fileno(), 0, manifest.size)
@@ -370,11 +382,20 @@ async def receive_file(
                 if offset != received or received + len(data) > manifest.size:
                     raise ProtocolError("chunk out of order")
                 body.write(data)
-                digest.update(data)
+                batch.append(data)
+                batched += len(data)
+                if batched >= DIGEST_BATCH:
+                    if hashing:
+                        hashing.result()
+                    hashing = WORKER.submit(_hash_all, digest, batch)
+                    batch, batched = [], 0
                 received += len(data)
                 if progress:
                     progress(received, manifest.size)
 
+            if hashing:
+                hashing.result()
+            _hash_all(digest, batch)
             if received != manifest.size or digest.hexdigest() != manifest.sha256_hex:
                 raise ProtocolError("content digest mismatch")
             body.flush()

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,9 +56,10 @@ def test_importing_the_cli_runs_no_exponentiation(tmp_path):
     # every Python call and every call of a built-in, so it watches both
     # providers of _pow: the built-in pow and the OpenSSL binding. Importing
     # must start no process either: subprocess is how one would be started,
-    # and ctypes.util.find_library would start ldconfig.
+    # and ctypes.util.find_library would start ldconfig. Nor any thread: the
+    # worker's starts on its first job.
     code = """
-import builtins, sys
+import builtins, sys, threading
 calls = []
 def watch(frame, event, arg):
     if event == "c_call" and arg is builtins.pow:
@@ -68,11 +70,11 @@ sys.setprofile(watch)
 import pcp.cli
 sys.setprofile(None)
 calls += [name for name in ("subprocess", "ctypes.util") if name in sys.modules]
-print(calls)
+print(calls, threading.active_count())
 """
     run = _python(code, SRC, tmp_path)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.strip() == "[] 1"
 
 
 needs_openssl = pytest.mark.skipif(
@@ -217,30 +219,52 @@ def test_party_bytes_do_not_depend_on_the_pow_provider(role, seed, monkeypatch):
     assert handshake() == provided
 
 
+class WorkerPowFailed(Exception):
+    pass
+
+
+def test_a_pow_that_fails_on_the_worker_fails_the_party_call(monkeypatch):
+    real = pake._pow
+
+    def failing_on_the_worker(base, exp):
+        if threading.current_thread() is not threading.main_thread():
+            raise WorkerPowFailed(base)
+        return real(base, exp)
+
+    peer = pake.PakeParty(PASSWORD, pake.ROLE_RESPONDER, BINDING, random.Random(1))
+    party = pake.PakeParty(PASSWORD, pake.ROLE_INITIATOR, BINDING, random.Random(2))
+    monkeypatch.setattr(pake, "_pow", failing_on_the_worker)
+    with pytest.raises(WorkerPowFailed):
+        pake.PakeParty(PASSWORD, pake.ROLE_INITIATOR, BINDING, random.Random(3))
+    with pytest.raises(WorkerPowFailed):
+        party.derive(peer.message())
+    monkeypatch.undo()
+    assert party.derive(peer.message()) == peer.derive(party.message())
+
+
 @needs_openssl
 def test_every_exponentiation_of_a_handshake_runs_on_openssl(monkeypatch):
     # BN_mod_exp_mont_consttime is the constant-time path: each of a side's
     # five exponentiations, the three with a fixed base included, must reach
-    # it, and none may fall back to the built-in pow inside the binding
+    # it, and none may fall back to the built-in pow inside the binding. Some
+    # run on the worker thread, so the watch replaces pow for every thread
     calls, fallbacks = [], []
-    openssl_pow = pake._pow
+    openssl_pow, builtin_pow = pake._pow, builtins.pow
 
     def recording(base, exp):
         calls.append((base, exp))
         return openssl_pow(base, exp)
 
-    def watch(frame, event, arg):
-        if event == "c_call" and arg is builtins.pow:
-            fallbacks.append(frame.f_code.co_name)
+    def watched_pow(*args):
+        fallbacks.append(threading.current_thread().name)
+        return builtin_pow(*args)
 
     monkeypatch.setattr(pake, "_pow", recording)
-    sys.setprofile(watch)
-    try:
-        initiator = pake.PakeParty(PASSWORD, pake.ROLE_INITIATOR, BINDING, random.Random(8))
-        responder = pake.PakeParty(PASSWORD, pake.ROLE_RESPONDER, BINDING, random.Random(9))
-        masters = initiator.derive(responder.message()), responder.derive(initiator.message())
-    finally:
-        sys.setprofile(None)
+    monkeypatch.setattr(builtins, "pow", watched_pow)
+    initiator = pake.PakeParty(PASSWORD, pake.ROLE_INITIATOR, BINDING, random.Random(8))
+    responder = pake.PakeParty(PASSWORD, pake.ROLE_RESPONDER, BINDING, random.Random(9))
+    masters = initiator.derive(responder.message()), responder.derive(initiator.message())
+    monkeypatch.undo()
     assert masters[0] == masters[1]
     assert fallbacks == []
 
@@ -257,5 +281,11 @@ def test_every_exponentiation_of_a_handshake_runs_on_openssl(monkeypatch):
 
     i_calls = side(initiator, pake._M, responder, pake._N)
     r_calls = side(responder, pake._N, initiator, pake._M)
-    # each party computes its share at construction, then derives
-    assert calls == i_calls[:2] + r_calls[:2] + i_calls[2:] + r_calls[2:]
+    # each party computes its share at construction, then derives; each of
+    # those four calls waits for its worker job, so only the order of the
+    # exponentiations inside one call is free
+    assert len(calls) == 10
+    start = 0
+    for step in (i_calls[:2], r_calls[:2], i_calls[2:], r_calls[2:]):
+        assert Counter(calls[start : start + len(step)]) == Counter(step)
+        start += len(step)

@@ -268,7 +268,9 @@ print(json.dumps([s_out.status, r_out.status, r_out.reason, r_out.detail, chan_s
 
 
 class TestEndToEnd:
-    @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 3 * 1024 * 1024])
+    @pytest.mark.parametrize(
+        "size", [0, 1, 65535, 65536, 65537, 1048575, 1048576, 1048577, 3 * 1024 * 1024]
+    )
     def test_sizes_roundtrip_with_digest(self, size, tmp_path):
         payload = random.Random(size).randbytes(size)
         s_out, r_out, dest, _ = _run_transfer(payload, tmp_path)
@@ -541,13 +543,22 @@ class TestEndToEnd:
         assert not os.path.exists(os.path.join(dest, "src.bin"))
         assert _holds_only(dest)
 
-    def test_source_mutated_after_manifest_aborts(self, tmp_path):
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            (b"A" * 5000, b"B" * 5000),
+            # the receiver hashes this body in batches; only the last byte moved
+            (b"A" * (3 * 1024 * 1024 + 1), b"A" * (3 * 1024 * 1024) + b"B"),
+        ],
+        ids=["5000", "3MiB+1-last-byte"],
+    )
+    def test_source_mutated_after_manifest_aborts(self, before, after, tmp_path):
         # same size, different bytes: receiver's digest check must catch it
         fx = _ChannelFixture()
         src = tmp_path / "src.bin"
-        src.write_bytes(b"A" * 5000)
+        src.write_bytes(before)
         manifest = manifest_for_file(str(src))
-        src.write_bytes(b"B" * 5000)
+        src.write_bytes(after)
         dest = str(tmp_path / "inbox")
 
         async def main():
@@ -689,12 +700,15 @@ class TestConfirmedPeerMisbehaves:
         assert _holds_only(str(tmp_path), before=["src.bin"])
 
 
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3)
+
+
 # Any JSON value, strings drawn from every code point including lone surrogates.
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
     | st.text(st.characters(exclude_categories=()), max_size=8),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    _json_containers,
     max_leaves=6,
 )
 _manifest_payloads = st.one_of(
