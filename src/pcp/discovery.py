@@ -43,8 +43,9 @@ class ProviderStream:
     ``next()`` returns the next previously-unseen live provider, or None
     once the deadline has passed. With nothing buffered it queries the
     backend, at most once per ``query_interval`` after the previous query
-    ended; an answer that lands after the deadline is dropped. A stream
-    nobody reads does no work.
+    ended; an answer that lands after the deadline is dropped. Each provider
+    is traced once, as ``provider_found``, when the stream takes it in. A
+    stream nobody reads does no work.
     """
 
     def __init__(self, backend: "DiscoveryBackend", node: SimNode, key: bytes, deadline: float):
@@ -77,6 +78,13 @@ class ProviderStream:
                 if addr.peer_id not in self._yielded and addr.peer_id != self._node.address.peer_id:
                     self._yielded.add(addr.peer_id)
                     self._ready.append(addr)
+                    self._node.network.trace.emit(
+                        "provider_found",
+                        backend=self._backend.tag,
+                        node=self._node.address.short(),
+                        key=self._key.hex()[:16],
+                        provider=addr.short(),
+                    )
 
 
 class DiscoveryBackend:
@@ -167,14 +175,6 @@ class DiscoveryBackend:
                     and not self.network.loss_roll(link)
                 ):
                     found.setdefault(record.provider.peer_id, record.provider)
-        for addr in found.values():
-            self.network.trace.emit(
-                "provider_found",
-                backend=self.tag,
-                node=node.address.short(),
-                key=key.hex()[:16],
-                provider=addr.short(),
-            )
         return list(found.values())
 
 

@@ -1,7 +1,7 @@
 """Deterministic cooperative task kernel driven by a virtual clock.
 
 All protocol code in this package is written as coroutines awaiting the
-primitives defined here (sleep, queues, events, timeouts). The kernel runs
+primitives defined here (sleep, events, timeouts). The kernel runs
 them single-threaded over a priority queue of (virtual time, sequence
 number) entries, so a given seed and script always produce the identical
 interleaving: time jumps straight to the next pending event instead of
@@ -9,10 +9,12 @@ waiting on the wall clock, which is what makes exhaustive slot-boundary
 and timeout testing cheap.
 
 The scheduler is intentionally tiny: tasks suspend by yielding a single
-"park" trap, and everything else (events, queues, joins, timeouts) is
-built from wake-ups with stale-wake protection. Cancellation is delivered
-as a ``Cancelled`` throw at the task's next suspension point and is prompt:
-a cancelled task runs its cleanup on the very next tick.
+"park" trap, and everything else (events, joins, timeouts) is built from
+wake-ups with stale-wake protection. ``Event`` is the only waiter: a
+producer keeps its own items, then sets and replaces its reader's event.
+Cancellation is delivered as a ``Cancelled`` throw at the task's next
+suspension point and is prompt: a cancelled task runs its cleanup on the
+very next tick.
 
 Besides the kernel's own thread there is one process-wide worker thread,
 ``WORKER``, for the two CPU floors of a session: the PAKE's exponentiations
@@ -116,8 +118,7 @@ class _ParkTrap:
         self.timeout = timeout
 
     def __await__(self):
-        woken = yield self
-        return woken
+        yield self
 
 
 # task states
@@ -214,25 +215,21 @@ class Kernel:
 
     def spawn(self, coro: Coroutine, name: str | None = None) -> Task:
         task = Task(self, coro, name)
-        self._push_resume(task, value=None)
+        self._push_resume(task)
         return task
 
-    def _push_resume(
-        self, task: Task, value: Any = None, exc: BaseException | None = None
-    ) -> None:
-        self.call_at(self._now, lambda: self._step(task, value, exc))
+    def _push_resume(self, task: Task, exc: BaseException | None = None) -> None:
+        self.call_at(self._now, lambda: self._step(task, exc))
 
-    def _wake(self, task: Task, park_seq: int, value: Any) -> bool:
+    def _wake(self, task: Task, park_seq: int) -> None:
         """Wake a parked task if it is still in the same park; else no-op."""
-        if task.state != _PARKED or task._park_seq != park_seq:
-            return False
-        task.state = _READY
-        self._push_resume(task, value=value)
-        return True
+        if task.state == _PARKED and task._park_seq == park_seq:
+            task.state = _READY
+            self._push_resume(task)
 
     # -- task stepping -----------------------------------------------------
 
-    def _step(self, task: Task, value: Any, exc: BaseException | None) -> None:
+    def _step(self, task: Task, exc: BaseException | None) -> None:
         if task.state == _DONE:
             return
         task._started = True
@@ -245,7 +242,7 @@ class Kernel:
             if exc is not None:
                 trap = task.coro.throw(exc)
             else:
-                trap = task.coro.send(value)
+                trap = task.coro.send(None)
         except StopIteration as stop:
             self._finalize(task, result=stop.value)
         except Cancelled:
@@ -267,7 +264,7 @@ class Kernel:
                 task._park_seq += 1
                 if trap.timeout is not None:
                     seq = task._park_seq
-                    self.call_at(self._now + trap.timeout, lambda: self._wake(task, seq, False))
+                    self.call_at(self._now + trap.timeout, lambda: self._wake(task, seq))
         finally:
             self.current_task = None
 
@@ -341,11 +338,6 @@ async def sleep(seconds: float) -> None:
     await _ParkTrap(max(0.0, seconds))
 
 
-async def _park(timeout: float | None = None) -> bool:
-    """Suspend until woken (True) or the timeout elapses (False)."""
-    return await _ParkTrap(timeout)
-
-
 async def wait_for(coro: Coroutine, timeout: float) -> Any:
     """Run ``coro`` with a deadline; cancel it and raise WaitTimeout on expiry."""
     kernel = current_kernel()
@@ -385,7 +377,7 @@ class Event:
         while self._waiters:
             task, seq = self._waiters.popleft()
             assert kernel is not None
-            kernel._wake(task, seq, True)
+            kernel._wake(task, seq)
 
     async def wait(self, timeout: float | None = None) -> bool:
         """Return True once set; False if the timeout elapses first."""
@@ -399,33 +391,6 @@ class Event:
             assert task is not None
             # the upcoming park bumps _park_seq exactly once
             self._waiters.append((task, task._park_seq + 1))
-            await _park(remaining)
+            await _ParkTrap(remaining)
         return True
 
-
-class Queue:
-    """Unbounded FIFO; puts are synchronous, a get waits for an item."""
-
-    __slots__ = ("_items", "_waiters")
-
-    def __init__(self) -> None:
-        self._items: deque = deque()
-        self._waiters: deque[tuple[Task, int]] = deque()
-
-    def put(self, item: Any) -> None:
-        self._items.append(item)
-        kernel = current_kernel()
-        while self._waiters:
-            task, seq = self._waiters.popleft()
-            if kernel._wake(task, seq, True):
-                break
-
-    async def get(self) -> Any:
-        """Pop the next item, waiting until one is put."""
-        kernel = current_kernel()
-        while not self._items:
-            task = kernel.current_task
-            assert task is not None
-            self._waiters.append((task, task._park_seq + 1))
-            await _park()
-        return self._items.popleft()

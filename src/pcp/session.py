@@ -29,7 +29,6 @@ from __future__ import annotations
 import logging
 import os
 import random
-import stat
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Collection
 
@@ -57,6 +56,7 @@ from .transfer import (
     TransferOutcome,
     check_name,
     manifest_for_file,
+    open_source,
     receive_file,
     send_file,
 )
@@ -126,7 +126,6 @@ class _Session:
         self.confirmed: list[_Candidate] = []
         self.any_confirmed = ker.Event()
         self._tasks: list[ker.Task] = []
-        self._cancelled = False
         self.emit("phase", phase=self.phase)
         self.deadline_at = node.kernel.now() + config.discovery_deadline
         self.emit("session_start", channel=self.channel)
@@ -215,21 +214,20 @@ class _Session:
                 outcome = no_winner()
                 self.advance(PHASE_FAILED, detail=outcome.detail or outcome.reason.value)
                 return outcome
-            self._cancel_losers()
-            self.advance("awaiting-confirmation", peer=winner.peer_id[:8])
-            try:
-                outcome = await transfer(winner)
-            except BaseException:  # cancelled: the peer must not wait on this channel for ever
-                winner.chan.abort()
-                raise
-            if outcome.status == STATUS_COMPLETED:
-                self.advance("done")
-            else:
-                self.advance(PHASE_FAILED, detail=outcome.status)
-            self.emit("transfer_done", status=outcome.status, bytes=outcome.bytes_received)
-            return outcome
         finally:
             self._cancel_losers()
+        self.advance("awaiting-confirmation", peer=winner.peer_id[:8])
+        try:
+            outcome = await transfer(winner)
+        except BaseException:  # cancelled: the peer must not wait on this channel for ever
+            winner.chan.abort()
+            raise
+        if outcome.status == STATUS_COMPLETED:
+            self.advance("done")
+        else:
+            self.advance(PHASE_FAILED, detail=outcome.status)
+        self.emit("transfer_done", status=outcome.status, bytes=outcome.bytes_received)
+        return outcome
 
     async def _pick_winner(self) -> _Candidate | None:
         """Wake on the first confirmation, yield once, then take the lowest peer id listed."""
@@ -245,13 +243,10 @@ class _Session:
         return winner
 
     def _cancel_losers(self) -> None:
-        """Tear down everything except the winning channel, promptly."""
+        """Tear down everything except the winning channel, promptly; runs once per session."""
         for late in self.confirmed:  # left here only by a cancelled session
             late.chan.abort()
         self.confirmed.clear()
-        if self._cancelled:
-            return
-        self._cancelled = True
         for task in self._tasks:
             task.cancel()
         self.emit("losers_cancelled")
@@ -274,12 +269,8 @@ async def run_sender(
     """Whole sender lifecycle; returns the final transfer outcome."""
     rng = rng or node.kernel.rng("session")
     try:  # what can fail without reading the file fails before the code is shown
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO must not block here
-        try:
-            if not stat.S_ISREG(os.fstat(fd).st_mode):
-                raise InvalidArgument("not a regular file")
-        finally:
-            os.close(fd)
+        source, _ = open_source(path)
+        source.close()
         check_name(os.path.basename(path))
     except (OSError, InvalidArgument) as e:
         return _cannot_send(path, e)

@@ -6,8 +6,10 @@ routing; severing it takes down both cross-link dialing and the global
 discovery backend. Connections are reliable ordered duplex byte streams
 (TCP-like): per-direction delivery times are drawn from the link's latency
 range but never reorder, and a drop (abort, partition, node stop) surfaces
-as ConnectionLost on both ends. All randomness comes from the owning
-kernel's seeded RNG streams, so a seed fully determines every trace.
+as ConnectionLost on both ends. Each connection end keeps its own inbox and
+each node its own accept backlog; a reader waits on a kernel Event that the
+producer sets, then replaces. All randomness comes from the owning kernel's
+seeded RNG streams, so a seed fully determines every trace.
 """
 
 from __future__ import annotations
@@ -176,7 +178,8 @@ class SimNode:
         self.address = address
         self.links = links
         self.stopped = False
-        self._inbound: ker.Queue = ker.Queue()
+        self._inbound: deque[Connection] = deque()  # dialed in, not yet accepted, FIFO
+        self._arrival = ker.Event()  # what accept() waits on; replaced after each set
         self._conns: dict[Connection, None] = {}  # insertion-ordered set
 
     def __repr__(self) -> str:
@@ -195,7 +198,9 @@ class SimNode:
         """Wait for the next inbound connection."""
         if self.stopped:
             raise DialError("node is stopped")
-        return await self._inbound.get()
+        while not self._inbound:
+            await self._arrival.wait()
+        return self._inbound.popleft()
 
     async def dial(self, to: PeerAddress) -> "Connection":
         """Open a duplex stream to ``to``; one round trip before it returns."""
@@ -219,7 +224,9 @@ class SimNode:
         local_end, remote_end = Connection(core, self), Connection(core, target)
         local_end.peer, remote_end.peer = remote_end, local_end
         core.ends = (local_end, remote_end)
-        target._inbound.put(remote_end)
+        target._inbound.append(remote_end)
+        target._arrival.set()
+        target._arrival = ker.Event()
         self.network.trace.emit(
             "conn_open",
             conn=core.conn_id,
@@ -239,22 +246,6 @@ class SimNode:
         raise DialError(f"cannot reach {to.short()}: {reason}")
 
 
-class _Stream:
-    """One direction of a connection as seen by its reader."""
-
-    __slots__ = ("segments", "eof", "floor", "activity")
-
-    def __init__(self) -> None:
-        self.segments: deque = deque()  # delivered, unread; a part-read head is a memoryview
-        self.eof = False
-        self.floor = 0.0  # in-order delivery horizon
-        self.activity = ker.Event()
-
-    def wake(self) -> None:
-        self.activity.set()
-        self.activity = ker.Event()
-
-
 class _ConnectionCore:
     """State shared by both endpoints of one connection."""
 
@@ -270,22 +261,22 @@ class _ConnectionCore:
     def draw_delay(self) -> float:
         return self.link.latency.draw(self.network._rng_latency)
 
-    def deliver(self, inbox: _Stream, payload: bytes | None) -> None:
-        """Queue ``payload`` (None is EOF) for ``inbox``; a drop before arrival discards it.
+    def deliver(self, end: "Connection", payload: bytes | None) -> None:
+        """Queue ``payload`` (None is EOF) for ``end``; a drop before arrival discards it.
 
         The object itself is delivered, not a copy.
         """
-        deliver_at = max(self.kernel.now() + self.draw_delay(), inbox.floor)
-        inbox.floor = deliver_at
+        deliver_at = max(self.kernel.now() + self.draw_delay(), end.floor)
+        end.floor = deliver_at
 
         def arrive():
             if self.error is not None:
                 return
             if payload is None:
-                inbox.eof = True
+                end.eof = True
             elif payload:
-                inbox.segments.append(payload)
-            inbox.wake()
+                end.segments.append(payload)
+            end.wake()
 
         self.kernel.call_at(deliver_at, arrive)
 
@@ -295,22 +286,29 @@ class _ConnectionCore:
             return
         self.error = reason
         for end in self.ends:
-            end.inbox.wake()
+            end.wake()
             end.node._conns.pop(end, None)
         self.network.trace.emit("conn_drop", conn=self.conn_id, reason=reason)
 
 
 class Connection:
-    """One endpoint's handle on a duplex reliable stream."""
+    """One endpoint's handle on a duplex reliable stream, and its inbox."""
 
     def __init__(self, core: _ConnectionCore, node: SimNode):
         self.core = core
         self.node = node
         self.local = node.address
-        self.inbox = _Stream()
         self.peer: Connection | None = None  # the other end, linked by dial()
         self.send_closed = False
+        self.segments: deque = deque()  # delivered, unread; a part-read head is a memoryview
+        self.eof = False
+        self.floor = 0.0  # in-order delivery horizon
+        self.activity = ker.Event()  # what recv() waits on; replaced after each set
         node._conns[self] = None
+
+    def wake(self) -> None:
+        self.activity.set()
+        self.activity = ker.Event()
 
     @property
     def remote(self) -> PeerAddress:
@@ -327,7 +325,7 @@ class Connection:
             raise ConnectionLost(f"connection {core.conn_id} is down: {core.error}")
         if self.send_closed:
             raise ConnectionLost("send on closed connection")
-        core.deliver(self.peer.inbox, data)
+        core.deliver(self.peer, data)
 
     async def recv(self, max_bytes: int = 65536) -> bytes:
         """Next bytes of at most one sent segment; b'' on clean EOF; ConnectionLost on drop.
@@ -336,20 +334,20 @@ class Connection:
         the peer sent or a memoryview of its unread rest. A longer one gives a
         bytes copy of its first ``max_bytes`` and keeps a view of the rest.
         """
-        stream = self.inbox
+        segments = self.segments
         while True:
-            if stream.segments:
-                head = stream.segments[0]
+            if segments:
+                head = segments[0]
                 if len(head) <= max_bytes:
-                    return stream.segments.popleft()
+                    return segments.popleft()
                 view = memoryview(head)
-                stream.segments[0] = view[max_bytes:]
+                segments[0] = view[max_bytes:]
                 return bytes(view[:max_bytes])
             if self.core.error is not None:
                 raise ConnectionLost(f"connection dropped: {self.core.error}")
-            if stream.eof:
+            if self.eof:
                 return b""
-            await stream.activity.wait()
+            await self.activity.wait()
 
     async def recv_exactly(self, n: int) -> bytes:
         """Exactly n bytes; EOF before n counts as a lost connection.
@@ -372,7 +370,7 @@ class Connection:
         core = self.core
         if core.error is None and not self.send_closed:
             self.send_closed = True
-            core.deliver(self.peer.inbox, None)
+            core.deliver(self.peer, None)
         self.node._conns.pop(self, None)
         if core.error is None and self.peer.send_closed:
             core.network.trace.emit("conn_closed", conn=core.conn_id)

@@ -23,6 +23,7 @@ import hashlib
 import json
 import logging
 import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from typing import Awaitable, BinaryIO, Callable
@@ -177,6 +178,21 @@ def _ended_by(error: Exception) -> Ending:
     return Ending.PEER_ERROR
 
 
+def open_source(path: str) -> tuple[BinaryIO, int]:
+    """Open the file to send for reading; return it and its size at the open.
+
+    Anything but a regular file raises OSError. The open never blocks, so a
+    FIFO put at ``path``, even between two opens, fails here instead of
+    hanging the process until a writer comes.
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    st = os.fstat(fd)
+    if not stat.S_ISREG(st.st_mode):
+        os.close(fd)
+        raise OSError("not a regular file")
+    return open(fd, "rb"), st.st_size
+
+
 def manifest_for_file(path: str) -> TransferManifest:
     """Pre-pass over the file: size and whole-body SHA-256.
 
@@ -186,9 +202,10 @@ def manifest_for_file(path: str) -> TransferManifest:
     """
     h = hashlib.sha256()
     size = 0
-    with open(path, "rb") as f:
-        block = memoryview(bytearray(min(1024 * 1024, max(1, os.fstat(f.fileno()).st_size))))
-        while n := f.readinto(block):
+    source, size_at_open = open_source(path)
+    with source:
+        block = memoryview(bytearray(min(1024 * 1024, max(1, size_at_open))))
+        while n := source.readinto(block):
             h.update(block[:n])
             size += n
     return TransferManifest(
@@ -275,8 +292,9 @@ async def send_file(
             raise ProtocolError(f"expected accept/reject, got sub-type 0x{subtype:02x}")
         if on_accept:
             on_accept()
-        with open(path, "rb") as f:
-            return await stream_file(chan, f, manifest, progress)
+        source, _ = open_source(path)
+        with source:
+            return await stream_file(chan, source, manifest, progress)
     except (PcpError, OSError) as e:
         chan.abort()
         return TransferOutcome(STATUS_ABORTED, _ended_by(e), detail=str(e))

@@ -6,7 +6,6 @@ from pcp.kernel import (
     Event,
     Kernel,
     KernelDeadlock,
-    Queue,
     TaskCancelled,
     WaitTimeout,
     current_time,
@@ -58,23 +57,6 @@ def test_same_time_entries_run_fifo():
 
     k.run(main())
     assert order == list("abcd")
-
-
-def test_queue_get_waits_for_a_put():
-    k = Kernel(seed=0)
-
-    async def producer(q):
-        await sleep(5)
-        q.put("x")
-
-    async def main():
-        q = Queue()
-        spawn(producer(q))
-        item = await q.get()
-        assert item == "x"
-        return current_time()
-
-    assert k.run(main()) == pytest.approx(1_700_000_005.0)
 
 
 def test_event_wait_set_and_timeout():

@@ -449,6 +449,27 @@ class TestCancelledSession:
         # the sender hunts on to its deadline instead of hanging in transfer
         assert (out.status, out.reason) == ("failed", "not-found")
 
+    @pytest.mark.parametrize("when", ["transfer", "arbitrating", "queued"])
+    def test_each_session_cancels_its_losers_once(
+        self, when, payload_file, tmp_path, monkeypatch
+    ):
+        """The cancelled receiver and the sender each trace ``losers_cancelled`` exactly once."""
+        world = build_world(seed=3)
+        if when == "transfer":
+            async def slow_decide(manifest):
+                await sleep(5.0)
+                return True
+
+            self._run(world, payload_file(1000), str(tmp_path),
+                      decide=slow_decide, cancel_after=2.0)
+        else:
+            arm, _ = self._cancel_on_confirm(monkeypatch, before_put=when == "queued")
+            self._run(world, payload_file(1000), str(tmp_path), arm=arm)
+        events = world.kernel.trace.events
+        sessions = [(e["role"], e["node"]) for e in events if e["event"] == "session_start"]
+        cancels = [(e["role"], e["node"]) for e in events if e["event"] == "losers_cancelled"]
+        assert len(sessions) == 2 and sorted(cancels) == sorted(sessions)
+
 
 class TestCollisionScenarios:
     def _same_channel_passphrases(self, count, seed=0):
@@ -694,6 +715,51 @@ class TestSenderStart:
             assert out.detail.endswith(": not a regular file")
         assert order == []
         assert "session_start" not in [e["event"] for e in world.kernel.trace.events]
+
+    @pytest.mark.parametrize("when", ["after-code", "before-accept"])
+    def test_source_swapped_for_a_fifo_ends_io_without_blocking(
+        self, when, payload_file, tmp_path
+    ):
+        """A FIFO put in place of the source after the first check fails its next open.
+
+        ``after-code``: swapped while the code is shown, before the hash.
+        ``before-accept``: swapped while the receiver decides, before the
+        body is read. A blocking open would wait for a writer for ever; the
+        alarm turns such a hang into a failure.
+        """
+        path = payload_file(5000)
+
+        def swap():
+            os.remove(path)
+            os.mkfifo(path)
+
+        async def swap_then_accept(manifest):
+            swap()
+            return True
+
+        def hung(signum, frame):
+            pytest.fail(f"the sender blocked on the FIFO at {path}")
+
+        world = build_world(seed=10)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            if when == "after-code":
+                sender = world.node()
+                out = world.kernel.run(run_sender(
+                    sender, world.config(discovery_deadline=2), path, on_code=lambda code: swap()
+                ))
+            else:
+                out, r_out, _ = run_pair(
+                    world, path, str(tmp_path / "inbox"), decide=swap_then_accept
+                )
+                assert (r_out.status, r_out.reason) == ("aborted", "connection-lost")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        status = "failed" if when == "after-code" else "aborted"
+        assert (out.status, out.reason) == (status, "io")
+        assert out.detail.endswith("not a regular file")
 
     def test_read_error_during_the_hash_ends_io_after_the_code(
         self, payload_file, monkeypatch

@@ -80,7 +80,7 @@ def test_dialer_stopped_during_its_dial_gets_no_connection():
         with pytest.raises(DialError):
             await a.dial(b.address)
         assert a._conns == {} and b._conns == {}
-        assert len(b._inbound._items) == 0
+        assert len(b._inbound) == 0
         assert _dial_failures(k) == [
             {"src": a.address.short(), "dst": b.address.short(), "reason": "dialer-stopped"}
         ]
@@ -97,10 +97,56 @@ def test_dialer_stopped_before_it_dials_gets_a_traced_failure():
         with pytest.raises(DialError):
             await a.dial(b.address)
         assert a._conns == {} and b._conns == {}
-        assert len(b._inbound._items) == 0
+        assert len(b._inbound) == 0
         assert _dial_failures(k) == [
             {"src": a.address.short(), "dst": b.address.short(), "reason": "dialer-stopped"}
         ]
+
+    k.run(main())
+
+
+def test_accept_waits_for_the_first_connection_and_keeps_landing_order():
+    k, net = make_net(wan=False)
+
+    async def main():
+        b = net.spawn_node(["lan0"])
+        first, second = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
+        t0 = current_time()
+        accepted = []
+
+        async def acceptor():
+            for _ in range(2):
+                conn = await b.accept()
+                accepted.append((conn.remote, current_time() - t0))
+
+        spawn(acceptor())
+        await sleep(0.002)  # the acceptor is parked before anyone dials
+        assert accepted == []
+
+        async def dial_after(node, delay):
+            await sleep(delay)
+            return await node.dial(b.address)
+
+        dials = [spawn(dial_after(first, 0.0)), spawn(dial_after(second, 0.001))]
+        for dial in dials:
+            await dial.join()
+        # each lands after its 5 ms connect leg, and accept returns in that tick
+        assert [peer for peer, _ in accepted] == [first.address, second.address]
+        assert [at for _, at in accepted] == [
+            pytest.approx(0.007, abs=1e-5), pytest.approx(0.008, abs=1e-5)
+        ]
+
+    k.run(main())
+
+
+def test_stopped_node_cannot_accept():
+    k, net = make_net()
+
+    async def main():
+        b = net.spawn_node(["lan0"])
+        b.stop()
+        with pytest.raises(DialError):
+            await b.accept()
 
     k.run(main())
 

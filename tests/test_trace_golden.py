@@ -6,9 +6,11 @@ refactor that should leave behaviour alone must leave these hashes alone.
 A change that alters the trace on purpose updates the pin and says why.
 The values were computed on CPython 3.11.7.
 
-Last update: ``conn_open`` events no longer carry a ``relay`` key, since
-simnet has no relay hop; each pin is the previous battery trace with only
-that key removed from every ``conn_open``.
+Last update: a lookup traces ``provider_found`` once per provider, when
+its stream takes the provider in, instead of once per poll that answers
+with it; each pin is the previous battery trace less every repeated
+``provider_found`` (same node, key, backend and provider within one
+trace), renumbered.
 """
 
 import pytest
@@ -16,8 +18,8 @@ import pytest
 from test_acceptance import _scenario_battery
 
 GOLDEN = {
-    1234: "713f00a7c036cf28b49b72ba486165abab6579e4d37c7b2f7e6ede87fe7cbdd3",
-    4321: "e40076d77d3d22d6d968fae1e975f434e3545c4e3059e4d321578c6ea8b00238",
+    1234: "47ff030913493c76c0d52854dd2e6a03eea46ece499f4c6959f691485abeab50",
+    4321: "aaca52438413d2698eebcbbfa87be7c0e6575a28731f431daa08140e2ed51251",
 }
 
 
