@@ -31,7 +31,7 @@ from .errors import (
     PcpError,
     ProtocolError,
 )
-from .kernel import Cancelled, WaitTimeout, wait_for
+from .kernel import Cancelled, Scope, WaitTimeout
 from .pake import ELEMENT_LEN, ROLE_INITIATOR, ROLE_RESPONDER, PakeParty, PakePassword
 from .simnet import Connection
 
@@ -136,7 +136,8 @@ def _decode_msg1(payload: bytes) -> tuple[str, bytes]:
 async def _guarded(conn: Connection, step: Coroutine, what: str):
     """Run one handshake step under HANDSHAKE_TIMEOUT; any failure aborts ``conn``."""
     try:
-        return await wait_for(step, HANDSHAKE_TIMEOUT)
+        async with Scope(HANDSHAKE_TIMEOUT):
+            return await step
     except WaitTimeout:
         conn.abort()
         raise HandshakeTimeout(f"{what} timed out") from None

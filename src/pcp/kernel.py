@@ -1,7 +1,7 @@
 """Deterministic cooperative task kernel driven by a virtual clock.
 
 All protocol code in this package is written as coroutines awaiting the
-primitives defined here (sleep, events, timeouts). The kernel runs
+primitives defined here (sleep, events, scopes). The kernel runs
 them single-threaded over a priority queue of (virtual time, sequence
 number) entries, so a given seed and script always produce the identical
 interleaving: time jumps straight to the next pending event instead of
@@ -9,12 +9,29 @@ waiting on the wall clock, which is what makes exhaustive slot-boundary
 and timeout testing cheap.
 
 The scheduler is intentionally tiny: tasks suspend by yielding a single
-"park" trap, and everything else (events, joins, timeouts) is built from
+"park" trap, and everything else (events, joins, deadlines) is built from
 wake-ups with stale-wake protection. ``Event`` is the only waiter: a
 producer keeps its own items, then sets and replaces its reader's event.
-Cancellation is delivered as a ``Cancelled`` throw at the task's next
-suspension point and is prompt: a cancelled task runs its cleanup on the
-very next tick.
+Cancellation is delivered as a ``Cancelled`` throw at the task's current
+park, or at its next one if it is not parked, and is prompt: a cancelled
+task runs its cleanup on the very next tick. A second request before it
+finishes adds nothing.
+
+Every deadline and every child task belongs to a ``Scope``, used as
+``async with Scope(timeout):`` in the style of Trio's cancel scopes and
+nurseries:
+
+- the deadline is fixed when the scope is made; when it passes, the body
+  is cancelled at its park and, once its cleanup has run, the ``async
+  with`` raises ``WaitTimeout``;
+- a task spawned in the body, or by a task of the scope that has opened
+  no scope itself, belongs to the scope; on exit, for any reason, the
+  scope cancels and joins its tasks;
+- a child that fails cancels the body and its siblings, and the scope
+  raises that first error (there is no exception group); a cancellation
+  of the task or of an enclosing scope passes through unchanged;
+- ``Kernel.run`` runs ``main`` in the outermost scope, so no task outlives
+  it.
 
 Besides the kernel's own thread there is one process-wide worker thread,
 ``WORKER``, for the two CPU floors of a session: the PAKE's exponentiations
@@ -72,11 +89,11 @@ class Cancelled(BaseException):
 
 
 class TaskCancelled(Exception):
-    """Raised by join()/wait_for() when the awaited task was cancelled."""
+    """Raised by join() when the awaited task was cancelled."""
 
 
 class WaitTimeout(TimeoutError):
-    """A timed wait elapsed before the awaited condition held."""
+    """A scope's deadline passed before its body finished."""
 
 
 class KernelDeadlock(RuntimeError):
@@ -133,7 +150,7 @@ class Task:
 
     _counter = 0
 
-    def __init__(self, kernel: "Kernel", coro: Coroutine, name: str | None):
+    def __init__(self, kernel: "Kernel", coro: Coroutine, name: str | None, scope: "Scope"):
         Task._counter += 1
         self.kernel = kernel
         self.coro = coro
@@ -143,10 +160,12 @@ class Task:
         self.exception: BaseException | None = None
         self.cancelled = False
         self.done = Event()
+        # the scope that owns this task, then the scopes it has open, innermost last
+        self.scopes = [scope]
         self._park_seq = 0
         self._pending_cancel = False
+        self._cancel_called = False
         self._started = False
-        self._observed = False  # someone consumed the result via join/wait_for
 
     def __repr__(self) -> str:
         return f"<Task {self.name} {self.state}>"
@@ -164,22 +183,79 @@ class Task:
             self.coro.close()
             self.cancelled = True
             self.kernel._finalize(self, exception=TaskCancelled(self.name))
-            return True
+        elif not self._cancel_called:
+            self._cancel_called = True
+            self._interrupt()
+        return True
+
+    def _interrupt(self) -> None:
+        """Throw Cancelled at the current park, or at the next one if not parked."""
         if self.state == _PARKED:
             self.state = _READY
             self.kernel._push_resume(self, exc=Cancelled())
         else:
-            # ready or running: throw at the next dispatch/suspension point
             self._pending_cancel = True
-        return True
 
     async def join(self) -> Any:
         """Wait for completion; re-raises the task's exception, if any."""
         await self.done.wait()
-        self._observed = True
         if self.exception is not None:
             raise self.exception
         return self.result
+
+
+class Scope:
+    """A deadline and the tasks spawned inside one ``async with``; see the module docstring."""
+
+    def __init__(self, timeout: float | None = None):
+        self.deadline = None if timeout is None else current_time() + timeout
+        self.tasks: dict[Task, None] = {}  # live children, in spawn order
+        self.failed: Task | None = None  # the first child that failed
+        self.cancelled = False  # the deadline passed or a child failed
+        self._owner: Task | None = None  # the task running the body, while it runs
+
+    async def __aenter__(self) -> "Scope":
+        kernel = current_kernel()
+        self._owner = kernel.current_task
+        self._owner.scopes.append(self)
+        if self.deadline is not None:
+            kernel.call_at(self.deadline, self._cancel)
+        return self
+
+    async def __aexit__(self, exc_type, exc, tb) -> bool:
+        owner, self._owner = self._owner, None
+        late = None
+        while self.tasks:
+            for task in list(self.tasks):
+                task.cancel()
+            try:
+                await next(iter(self.tasks)).done.wait()
+            except Cancelled as err:  # meant for an enclosing scope: the children go first
+                late = err
+        owner.scopes.pop()
+        if self.failed is not None:
+            raise self.failed.exception
+        if late is not None:
+            raise late
+        if isinstance(exc, Cancelled) and self.cancelled and not owner._cancel_called and not any(
+            scope.cancelled for scope in owner.scopes
+        ):
+            owner._pending_cancel = False  # a second expiry in the same tick was ours too
+            raise WaitTimeout() from None
+        return False
+
+    def _cancel(self) -> None:
+        self.cancelled = True
+        if self._owner is not None:
+            self._owner._interrupt()
+        for task in list(self.tasks):
+            task.cancel()
+
+    def _child_done(self, task: Task) -> None:
+        del self.tasks[task]
+        if task.exception is not None and not task.cancelled and self.failed is None:
+            self.failed = task
+            self._cancel()
 
 
 class Kernel:
@@ -193,7 +269,7 @@ class Kernel:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._rngs: dict[str, random.Random] = {}
-        self._unhandled: list[Task] = []
+        self._root = Scope()  # the outermost scope of the next run
         self._running = False
 
     # -- rng streams -------------------------------------------------------
@@ -214,7 +290,11 @@ class Kernel:
         heapq.heappush(self._heap, (max(when, self._now), self._seq, fn))
 
     def spawn(self, coro: Coroutine, name: str | None = None) -> Task:
-        task = Task(self, coro, name)
+        """Start ``coro`` in the innermost scope open in the calling task."""
+        parent = self.current_task
+        scope = self._root if parent is None else parent.scopes[-1]
+        task = Task(self, coro, name, scope)
+        scope.tasks[task] = None
         self._push_resume(task)
         return task
 
@@ -274,40 +354,45 @@ class Kernel:
         task.state = _DONE
         task.result = result
         task.exception = exception
-        if exception is not None and not task.cancelled:
-            self._unhandled.append(task)
-        task.done._set_from(self)
+        task.scopes[0]._child_done(task)
+        task.done.set()
 
     # -- main loop ---------------------------------------------------------
 
     def run(self, coro: Coroutine, name: str = "main") -> Any:
-        """Run ``coro`` to completion, auto-advancing virtual time."""
+        """Run ``coro`` as ``main`` in the outermost scope, auto-advancing virtual time.
+
+        Returns once ``main`` and every task still live when it finished
+        have finished. ``main``'s own error is raised as it is; an error of
+        any other task, raised first, as a RuntimeError.
+        """
         global _current_kernel
         if self._running:
             raise RuntimeError("kernel is already running")
         previous, _current_kernel = _current_kernel, self
         self._running = True
+        root = self._root
         main = self.spawn(coro, name=name)
         try:
-            while not main.finished:
+            while root.tasks:
+                if main.finished:
+                    for task in list(root.tasks):
+                        task.cancel()
                 if not self._heap:
                     raise KernelDeadlock(
-                        f"no runnable work but {main.name} has not finished"
+                        f"no runnable work but {next(iter(root.tasks)).name} has not finished"
                     )
                 # call_at never schedules in the past, so time never moves back
                 self._now, _, fn = heapq.heappop(self._heap)
                 fn()
         finally:
             self._running = False
+            self._root = Scope()
             _current_kernel = previous
-        self._unhandled = [t for t in self._unhandled if t is not main and not t._observed]
-        if self._unhandled:
-            names = ", ".join(t.name for t in self._unhandled)
-            failed = self._unhandled[0]
-            self._unhandled = []
+        if root.failed is not None and root.failed is not main:
             raise RuntimeError(
-                f"unhandled task failure(s) in: {names}"
-            ) from failed.exception
+                f"unhandled task failure in: {root.failed.name}"
+            ) from root.failed.exception
         if main.exception is not None:
             raise main.exception
         return main.result
@@ -338,30 +423,8 @@ async def sleep(seconds: float) -> None:
     await _ParkTrap(max(0.0, seconds))
 
 
-async def wait_for(coro: Coroutine, timeout: float) -> Any:
-    """Run ``coro`` with a deadline; cancel it and raise WaitTimeout on expiry."""
-    kernel = current_kernel()
-    child = kernel.spawn(coro, name="wait_for")
-    try:
-        fired = await child.done.wait(timeout)
-    except BaseException:
-        # the waiter itself was cancelled: take the child down with us
-        child.cancel()
-        child._observed = True
-        raise
-    if not fired:
-        child.cancel()
-        await child.done.wait(None)
-        child._observed = True
-        raise WaitTimeout()
-    child._observed = True
-    if child.exception is not None:
-        raise child.exception
-    return child.result
-
-
 class Event:
-    """Level-triggered flag; waiters may time out without missing a set()."""
+    """Level-triggered flag; bound a wait with a ``Scope``."""
 
     __slots__ = ("_flag", "_waiters")
 
@@ -370,27 +433,15 @@ class Event:
         self._waiters: deque[tuple[Task, int]] = deque()
 
     def set(self) -> None:
-        self._set_from(current_kernel() if self._waiters else None)
-
-    def _set_from(self, kernel: Kernel | None) -> None:
         self._flag = True
         while self._waiters:
             task, seq = self._waiters.popleft()
-            assert kernel is not None
-            kernel._wake(task, seq)
+            task.kernel._wake(task, seq)
 
-    async def wait(self, timeout: float | None = None) -> bool:
-        """Return True once set; False if the timeout elapses first."""
-        kernel = current_kernel()
-        deadline = None if timeout is None else kernel.now() + timeout
+    async def wait(self) -> None:
+        """Return once set."""
         while not self._flag:
-            remaining = None if deadline is None else deadline - kernel.now()
-            if remaining is not None and remaining <= 0:
-                return False
-            task = kernel.current_task
-            assert task is not None
+            task = current_kernel().current_task
             # the upcoming park bumps _park_seq exactly once
             self._waiters.append((task, task._park_seq + 1))
-            await _ParkTrap(remaining)
-        return True
-
+            await _ParkTrap(None)

@@ -3,17 +3,18 @@
 Both roles derive the channel and the password from the words, hunt for
 peers until the discovery deadline, authenticate every connection they find,
 and hand the first channel that passes key confirmation to the transfer
-stage; every other candidate is cancelled promptly. A failed confirmation
-drops only that connection; the hunt continues until the deadline.
+stage. The hunt is one kernel scope with the discovery deadline, which
+cancels and joins all of its tasks as it ends. A failed confirmation drops
+only that connection; the hunt continues until the deadline.
 
-Only the hunt and the transfer stage differ. The sender checks that its
-file is a regular file that opens and that its name can be sent, generates
-and displays the words, then hashes the file, publishes the rendezvous key
+Only the hunt and the transfer stage differ. The sender opens its file
+once, a regular file whose name can be sent, generates and displays the
+words, then hashes the open file, publishes the rendezvous key
 on every configured backend (re-publishing when the slot rolls over),
 accepts inbound connections and authenticates each as responder, then sends
-the file. The receiver queries every backend for the current and previous
-slots in parallel, dials providers as they stream in and authenticates as
-initiator, then receives.
+the bytes it hashed. The receiver queries every backend for the current and
+previous slots in parallel, dials providers as they stream in and
+authenticates as initiator, then receives.
 
 At most one channel per session ever reaches the transfer stage. The
 session wakes on the first confirmation and yields once; of the candidates
@@ -99,12 +100,12 @@ class _Candidate:
 class _Session:
     """One session's lifecycle, the same for both roles.
 
-    Holds the channel, the password every handshake shares, the discovery
-    deadline, the rendezvous ids it is bound to and the list of confirmed
-    candidates. Phases only move forward and are mirrored to the trace. A
-    role supplies what it starts for each rendezvous key, what a missed
-    deadline means, and its transfer stage; ``each_slot`` and ``run`` do
-    the rest.
+    Holds the channel, the password every handshake shares, the hunt
+    scope with the discovery deadline, the rendezvous ids it is bound to
+    and the list of confirmed candidates. Phases only move forward and are
+    mirrored to the trace. A role supplies the tasks it starts in the hunt,
+    what it starts for each rendezvous key, what a missed deadline means,
+    and its transfer stage; ``each_slot`` and ``run`` do the rest.
     """
 
     def __init__(
@@ -125,9 +126,8 @@ class _Session:
         self.bindings: set[str] = set()
         self.confirmed: list[_Candidate] = []
         self.any_confirmed = ker.Event()
-        self._tasks: list[ker.Task] = []
         self.emit("phase", phase=self.phase)
-        self.deadline_at = node.kernel.now() + config.discovery_deadline
+        self.hunt = ker.Scope(config.discovery_deadline)
         self.emit("session_start", channel=self.channel)
 
     def emit(self, kind: str, **detail) -> None:
@@ -143,12 +143,6 @@ class _Session:
             return
         self.phase = phase
         self.emit("phase", phase=phase, **detail)
-
-    def spawn(self, coro, name: str) -> ker.Task:
-        """Start a task that is cancelled once a winner is picked or the session ends."""
-        task = self.node.kernel.spawn(coro, name=name)
-        self._tasks.append(task)
-        return task
 
     async def authenticate(
         self, conn: Connection, binding: str, allowed_bindings: Collection[str] = frozenset()
@@ -184,7 +178,7 @@ class _Session:
     async def each_slot(
         self,
         keys_at: Callable[[int, float], list[DiscoveryKey]],
-        start: Callable[[DiscoveryKey], Awaitable[None]],
+        start: Callable[[DiscoveryKey], None],
     ) -> None:
         """At each slot boundary, ``start`` every key whose id is not in ``bindings`` yet."""
         kernel = self.node.kernel
@@ -193,29 +187,37 @@ class _Session:
             for key in keys:
                 if key.id_string not in self.bindings:
                     self.bindings.add(key.id_string)
-                    await start(key)
+                    start(key)
             await ker.sleep(next_slot_delay(keys[0].slot, kernel.now()))
 
     async def run(
         self,
+        begin: Callable[[], object],
         no_winner: Callable[[], TransferOutcome],
         transfer: Callable[[_Candidate], Awaitable[TransferOutcome]],
     ) -> TransferOutcome:
-        """Pick the winner, cancel the losers, run the transfer stage, record how it ended.
+        """Pick the winner, end the hunt, run the transfer stage, record how it ended.
 
+        ``begin`` spawns the role's tasks inside the ``hunt`` scope, which
+        cancels and joins all of them once a winner is picked, the
+        discovery deadline passes or the session is cancelled.
         ``no_winner`` gives the outcome when the deadline passes without a
         confirmed candidate; the failed phase carries its detail, or else
         its ending. A session cancelled while it holds a confirmed channel
         aborts that channel, so the peer sees a reset at once.
         """
         try:
-            winner = await self._pick_winner()
-            if winner is None:
-                outcome = no_winner()
-                self.advance(PHASE_FAILED, detail=outcome.detail or outcome.reason.value)
-                return outcome
+            async with self.hunt:
+                begin()
+                winner = await self._pick_winner()
+        except ker.WaitTimeout:
+            outcome = no_winner()
+            self.advance(PHASE_FAILED, detail=outcome.detail or outcome.reason.value)
+            return outcome
         finally:
-            self._cancel_losers()
+            for late in self.confirmed:  # left here only by a cancelled session
+                late.chan.abort()
+            self.emit("losers_cancelled")
         self.advance("awaiting-confirmation", peer=winner.peer_id[:8])
         try:
             outcome = await transfer(winner)
@@ -229,10 +231,9 @@ class _Session:
         self.emit("transfer_done", status=outcome.status, bytes=outcome.bytes_received)
         return outcome
 
-    async def _pick_winner(self) -> _Candidate | None:
+    async def _pick_winner(self) -> _Candidate:
         """Wake on the first confirmation, yield once, then take the lowest peer id listed."""
-        if not await self.any_confirmed.wait(self.deadline_at - self.node.kernel.now()):
-            return None
+        await self.any_confirmed.wait()
         await ker.sleep(0)  # let same-tick confirmations land before arbitration
         winner = min(self.confirmed, key=lambda c: c.peer_id)
         self.confirmed.remove(winner)
@@ -241,15 +242,6 @@ class _Session:
         self.confirmed.clear()
         self.emit("winner", peer=winner.peer_id[:8], binding=winner.binding)
         return winner
-
-    def _cancel_losers(self) -> None:
-        """Tear down everything except the winning channel, promptly; runs once per session."""
-        for late in self.confirmed:  # left here only by a cancelled session
-            late.chan.abort()
-        self.confirmed.clear()
-        for task in self._tasks:
-            task.cancel()
-        self.emit("losers_cancelled")
 
 
 def _cannot_send(path: str, error: Exception) -> TransferOutcome:
@@ -266,68 +258,76 @@ async def run_sender(
     progress: ProgressFn | None = None,
     rng: random.Random | None = None,
 ) -> TransferOutcome:
-    """Whole sender lifecycle; returns the final transfer outcome."""
+    """Whole sender lifecycle; returns the final transfer outcome.
+
+    The file is opened once, before the code is shown; the body streamed is
+    read from that open file, so a file renamed over ``path`` afterwards is
+    not sent. It is closed when the session ends.
+    """
     rng = rng or node.kernel.rng("session")
     try:  # what can fail without reading the file fails before the code is shown
-        source, _ = open_source(path)
-        source.close()
         check_name(os.path.basename(path))
+        source = open_source(path)
     except (OSError, InvalidArgument) as e:
         return _cannot_send(path, e)
 
-    words = passphrase or generate_passphrase(config.word_count, rng)
-    if on_code:
-        on_code(words.render())
-    try:  # the whole-file hash runs once the code is out, before the deadline starts
-        manifest = manifest_for_file(path)
-    except OSError as e:
-        return _cannot_send(path, e)
-    session = _Session(node, ROLE_SENDER, config, words, rng)
+    with source:
+        words = passphrase or generate_passphrase(config.word_count, rng)
+        if on_code:
+            on_code(words.render())
+        try:  # the whole-file hash runs once the code is out, before the deadline starts
+            manifest = manifest_for_file(path, source)
+        except OSError as e:
+            return _cannot_send(path, e)
+        session = _Session(node, ROLE_SENDER, config, words, rng)
 
-    async def publish(key: DiscoveryKey) -> None:
-        # all backends in parallel: a slow global publish must not hold back
-        # the local advertisement
-        writes = [
-            session.spawn(backend.provide(node, key.content_key), name="publish")
-            for backend in config.backends
-        ]
-        for write in writes:
+        async def provide(backend: DiscoveryBackend, key: DiscoveryKey) -> None:
             try:
-                await write.join()
+                await backend.provide(node, key.content_key)
             except PcpError as e:
                 logger.warning("publish failed on one backend: %s", e)
 
-    async def acceptor() -> None:
-        while True:
-            conn = await node.accept()
-            session.spawn(
-                session.authenticate(conn, "", session.bindings), name="sender-candidate"
+        def publish(key: DiscoveryKey) -> None:
+            # all backends in parallel: a slow global publish must not hold
+            # back the local advertisement
+            for backend in config.backends:
+                ker.spawn(provide(backend, key), name="publish")
+
+        async def acceptor() -> None:
+            while True:
+                try:
+                    conn = await node.accept()
+                except DialError:
+                    return  # the node is stopped
+                ker.spawn(session.authenticate(conn, "", session.bindings), name="sender-candidate")
+
+        def begin() -> None:
+            ker.spawn(
+                # sender_publish_key is looked up at each call, so tests can replace it
+                session.each_slot(lambda channel, now: [sender_publish_key(channel, now)], publish),
+                name="sender-publish",
+            )
+            ker.spawn(acceptor(), name="sender-accept")
+
+        async def transfer(winner: _Candidate) -> TransferOutcome:
+            node.network.trace.emit(
+                "manifest_sent",
+                src=node.address.short(),
+                dst=winner.peer_id[:8],
+                name=manifest.name,
+                size=manifest.size,
+                sha256=manifest.sha256_hex,
+            )
+            return await send_file(
+                winner.chan, source, manifest, progress,
+                on_accept=lambda: session.advance("transferring"),
             )
 
-    async def transfer(winner: _Candidate) -> TransferOutcome:
-        node.network.trace.emit(
-            "manifest_sent",
-            src=node.address.short(),
-            dst=winner.peer_id[:8],
-            name=manifest.name,
-            size=manifest.size,
-            sha256=manifest.sha256_hex,
+        return await session.run(
+            begin,
+            lambda: TransferOutcome(STATUS_FAILED, Ending.NOT_FOUND, detail="discovery-timeout"),
+            transfer,
         )
-        return await send_file(
-            winner.chan, path, manifest, progress,
-            on_accept=lambda: session.advance("transferring"),
-        )
-
-    session.spawn(
-        # sender_publish_key is looked up at each call, so tests can replace it
-        session.each_slot(lambda channel, now: [sender_publish_key(channel, now)], publish),
-        name="sender-publish",
-    )
-    session.spawn(acceptor(), name="sender-accept")
-    return await session.run(
-        lambda: TransferOutcome(STATUS_FAILED, Ending.NOT_FOUND, detail="discovery-timeout"),
-        transfer,
-    )
 
 
 async def run_receiver(
@@ -357,26 +357,26 @@ async def run_receiver(
             while (addr := await stream.next()) is not None:
                 if addr.peer_id not in dialed:
                     dialed.add(addr.peer_id)
-                    session.spawn(candidate(addr, binding), name="receiver-candidate")
+                    ker.spawn(candidate(addr, binding), name="receiver-candidate")
         except BackendUnavailable:
             logger.warning("a discovery backend stopped mid-lookup")
 
-    async def query(key: DiscoveryKey) -> None:
-        remaining = session.deadline_at - node.kernel.now()
+    def query(key: DiscoveryKey) -> None:
+        remaining = session.hunt.deadline - node.kernel.now()
         for backend in config.backends:
             try:
                 stream = backend.find_providers(node, key.content_key, deadline=remaining)
             except BackendUnavailable:
                 continue
-            session.spawn(pump(stream, key.id_string), name="pump")
+            ker.spawn(pump(stream, key.id_string), name="pump")
 
     def no_winner() -> TransferOutcome:
         return TransferOutcome(
             STATUS_FAILED, Ending.AUTH_EXHAUSTED if session.auth_failures else Ending.NOT_FOUND
         )
 
-    session.spawn(session.each_slot(receiver_query_keys, query), name="receiver-query")
     return await session.run(
+        lambda: ker.spawn(session.each_slot(receiver_query_keys, query), name="receiver-query"),
         no_winner,
         lambda winner: receive_file(
             winner.chan, decide, dest_dir, progress=progress,

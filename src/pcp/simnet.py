@@ -186,21 +186,22 @@ class SimNode:
         return f"<SimNode {self.address.short()}>"
 
     def stop(self) -> None:
-        """Take the node offline; existing connections drop."""
+        """Take the node offline; existing connections drop and ``accept`` fails."""
         if self.stopped:
             return
         self.stopped = True
         self.network.trace.emit("node_stopped", node=self.address.short())
         for conn in list(self._conns):
             conn.core.drop("node-stopped")
+        self._arrival.set()  # a task parked in accept() wakes to fail
 
     async def accept(self) -> "Connection":
-        """Wait for the next inbound connection."""
-        if self.stopped:
-            raise DialError("node is stopped")
-        while not self._inbound:
+        """Wait for the next inbound connection; DialError once the node is stopped."""
+        while not self.stopped:
+            if self._inbound:
+                return self._inbound.popleft()
             await self._arrival.wait()
-        return self._inbound.popleft()
+        raise DialError("node is stopped")
 
     async def dial(self, to: PeerAddress) -> "Connection":
         """Open a duplex stream to ``to``; one round trip before it returns."""

@@ -30,7 +30,7 @@ from typing import Awaitable, BinaryIO, Callable
 
 from .auth import MAX_PLAINTEXT, SecureChannel
 from .errors import ConnectionLost, InvalidArgument, PcpError, ProtocolError
-from .kernel import WORKER, WaitTimeout, wait_for
+from .kernel import WORKER, Scope, WaitTimeout
 
 logger = logging.getLogger("pcp.transfer")
 
@@ -178,36 +178,38 @@ def _ended_by(error: Exception) -> Ending:
     return Ending.PEER_ERROR
 
 
-def open_source(path: str) -> tuple[BinaryIO, int]:
-    """Open the file to send for reading; return it and its size at the open.
+def open_source(path: str) -> BinaryIO:
+    """Open the file to send for reading.
 
     Anything but a regular file raises OSError. The open never blocks, so a
-    FIFO put at ``path``, even between two opens, fails here instead of
-    hanging the process until a writer comes.
+    FIFO put at ``path`` fails here instead of hanging the process until a
+    writer comes.
     """
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    st = os.fstat(fd)
-    if not stat.S_ISREG(st.st_mode):
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
         os.close(fd)
         raise OSError("not a regular file")
-    return open(fd, "rb"), st.st_size
+    return open(fd, "rb")
 
 
-def manifest_for_file(path: str) -> TransferManifest:
-    """Pre-pass over the file: size and whole-body SHA-256.
+def manifest_for_file(path: str, source: BinaryIO | None = None) -> TransferManifest:
+    """Pre-pass over ``source``, the file open at ``path``: size and whole-body SHA-256.
 
-    The read buffer is sized to the file, at most 1 MiB and at least one
-    byte, so a small file costs a small buffer and a file that grows after
-    the stat is still read to its end.
+    With no ``source``, ``path`` is opened through ``open_source`` for the
+    pass. The read buffer is sized to the file, at most 1 MiB and at least
+    one byte, so a small file costs a small buffer and a file that grows
+    meanwhile is still read to its end.
     """
+    if source is None:
+        with open_source(path) as own:
+            return manifest_for_file(path, own)
     h = hashlib.sha256()
     size = 0
-    source, size_at_open = open_source(path)
-    with source:
-        block = memoryview(bytearray(min(1024 * 1024, max(1, size_at_open))))
-        while n := source.readinto(block):
-            h.update(block[:n])
-            size += n
+    block = memoryview(bytearray(min(1024 * 1024, max(1, source.seek(0, os.SEEK_END)))))
+    source.seek(0)
+    while n := source.readinto(block):
+        h.update(block[:n])
+        size += n
     return TransferManifest(
         name=os.path.basename(path),
         size=size,
@@ -273,14 +275,15 @@ async def stream_file(
 
 async def send_file(
     chan: SecureChannel,
-    path: str,
+    source: BinaryIO,
     manifest: TransferManifest,
     progress: ProgressFn | None = None,
     on_accept: Callable[[], None] | None = None,
 ) -> TransferOutcome:
-    """Announce the file, wait for the receiver's decision, then stream the body.
+    """Announce the file, wait for the receiver's decision, then stream ``source`` from its start.
 
     ``on_accept`` runs once the receiver accepts, before any body bytes.
+    The caller keeps ``source`` and closes it.
     """
     try:
         await chan.send(_app_frame(SUB_MANIFEST, manifest.encode()))
@@ -292,9 +295,8 @@ async def send_file(
             raise ProtocolError(f"expected accept/reject, got sub-type 0x{subtype:02x}")
         if on_accept:
             on_accept()
-        source, _ = open_source(path)
-        with source:
-            return await stream_file(chan, source, manifest, progress)
+        source.seek(0)
+        return await stream_file(chan, source, manifest, progress)
     except (PcpError, OSError) as e:
         chan.abort()
         return TransferOutcome(STATUS_ABORTED, _ended_by(e), detail=str(e))
@@ -308,7 +310,8 @@ async def await_confirmation(manifest: TransferManifest, decide: DecideFn | None
     if decide is None:
         return False
     try:
-        return bool(await wait_for(decide(manifest), DECISION_TIMEOUT))
+        async with Scope(DECISION_TIMEOUT):
+            return bool(await decide(manifest))
     except WaitTimeout:
         logger.info("confirmation timed out after %.0fs; rejecting", DECISION_TIMEOUT)
         return False

@@ -13,6 +13,7 @@ from pcp.kernel import DEFAULT_START_TIME, Kernel, spawn
 from pcp.rendezvous import discovery_key, truncate_to_slot
 from pcp.session import SessionConfig, run_receiver, run_sender
 from pcp.simnet import SimulatedNetwork
+from pcp.transfer import manifest_for_file, open_source, send_file
 
 
 @dataclass
@@ -72,6 +73,12 @@ def publish_only_slot_of(monkeypatch, unix_time: float) -> None:
         return dataclasses.replace(key, slot=truncate_to_slot(now))
 
     monkeypatch.setattr(session, "sender_publish_key", publish_key)
+
+
+async def send_path(chan, path: str):
+    """``send_file`` of the file at ``path``, opened once for the hash and the body."""
+    with open_source(path) as source:
+        return await send_file(chan, source, manifest_for_file(path, source))
 
 
 async def accept_all(manifest):

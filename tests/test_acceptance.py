@@ -27,7 +27,7 @@ from pcp.session import run_receiver, run_sender
 from pcp.simworld import SimWorld
 from pcp.wordlist import load_wordlist
 
-from conftest import accept_all, build_world, publish_only_slot_of, run_pair
+from conftest import accept_all, build_world, publish_only_slot_of, run_pair, send_path
 from relay import FrameRelay, TamperPlan
 
 
@@ -238,7 +238,7 @@ def test_acceptance_4_authentication_rejection():
 
 def test_acceptance_5_tamper_detection(tmp_path):
     """>=200 random single-byte flips after the handshake: always aborted."""
-    from pcp.transfer import manifest_for_file, receive_file, send_file
+    from pcp.transfer import receive_file
 
     trials = 220
     rng = random.Random(55)
@@ -274,7 +274,7 @@ def test_acceptance_5_tamper_detection(tmp_path):
                     world.kernel.rng("crypto"), allowed_bindings={"/pcp/1700000000/0"},
                 )
                 chan = await confirm_key(conn, keys, transcript)
-                box["sender"] = await send_file(chan, str(src), manifest_for_file(str(src)))
+                box["sender"] = await send_path(chan, str(src))
 
             st = spawn(send_side())
             conn = await receiver_node.dial(relay.address)

@@ -6,13 +6,15 @@ from pcp.kernel import (
     Event,
     Kernel,
     KernelDeadlock,
+    Scope,
     TaskCancelled,
     WaitTimeout,
     current_time,
     sleep,
     spawn,
-    wait_for,
 )
+
+START = 1_700_000_000.0
 
 
 def test_sleep_advances_virtual_time_only():
@@ -68,38 +70,179 @@ def test_event_wait_set_and_timeout():
 
     async def main():
         ev = Event()
-        assert await ev.wait(timeout=0.5) is False
+        with pytest.raises(WaitTimeout):
+            async with Scope(0.5):
+                await ev.wait()
         spawn(setter(ev))
-        assert await ev.wait(timeout=10) is True
-        assert await ev.wait(timeout=0) is True  # level-triggered
-        return True
+        async with Scope(10):
+            await ev.wait()
+        assert current_time() == START + 1.5
+        async with Scope(0):
+            await ev.wait()  # level-triggered: a set event does not park
+        return current_time()
 
-    assert k.run(main())
+    assert k.run(main()) == START + 1.5
 
 
-def test_wait_for_result_timeout_and_error():
+def test_scope_result_timeout_and_error():
     k = Kernel(seed=0)
+    cleaned = []
 
     async def fast():
         await sleep(1)
         return 42
 
     async def slow():
-        await sleep(100)
+        try:
+            await sleep(100)
+        finally:
+            cleaned.append(current_time())
 
     async def broken():
         raise ValueError("boom")
 
     async def main():
-        assert await wait_for(fast(), 5) == 42
+        async with Scope(5):
+            result = await fast()
+        assert result == 42
         with pytest.raises(WaitTimeout):
-            await wait_for(slow(), 2)
+            async with Scope(2):
+                await slow()
+        # the body was cancelled at its park, and its cleanup ran, at exactly the deadline
+        assert cleaned == [START + 3] and current_time() == START + 3
         with pytest.raises(ValueError):
-            await wait_for(broken(), 2)
+            async with Scope(2):
+                await broken()
         return current_time()
 
-    # the timed-out child cancels promptly; time stops at its deadline
-    assert k.run(main()) == pytest.approx(1_700_000_003.0)
+    assert k.run(main()) == START + 3
+
+
+def test_an_inner_scope_expiry_belongs_to_the_inner_scope():
+    k = Kernel(seed=0)
+
+    async def main():
+        async with Scope(10) as outer:
+            with pytest.raises(WaitTimeout):
+                async with Scope(1) as inner:
+                    await sleep(5)
+            assert inner.cancelled and not outer.cancelled
+            await sleep(2)  # the outer body runs on, uncancelled
+        return current_time()
+
+    assert k.run(main()) == START + 3
+
+
+@pytest.mark.parametrize("inner_timeout", [5, 1], ids=["inner-later", "same-tick"])
+def test_an_outer_cancellation_is_never_swallowed_by_an_inner_scope(inner_timeout):
+    k = Kernel(seed=0)
+    swallowed = []
+
+    async def main():
+        with pytest.raises(WaitTimeout):
+            async with Scope(1):
+                try:
+                    async with Scope(inner_timeout):
+                        await sleep(100)
+                except WaitTimeout:
+                    swallowed.append(current_time())
+                await sleep(100)
+        await sleep(1)  # no stray cancellation is left for the next park
+        return current_time()
+
+    assert k.run(main()) == START + 2
+    assert swallowed == []
+
+
+def test_a_cancelled_task_is_not_turned_into_a_timeout():
+    k = Kernel(seed=0)
+
+    async def victim():
+        async with Scope(1):
+            await sleep(100)
+        return "timed out"
+
+    async def main():
+        t = spawn(victim())
+        await sleep(1)  # wakes just before the victim's deadline, in the same tick
+        t.cancel()
+        with pytest.raises(TaskCancelled):
+            await t.join()
+        assert t.cancelled
+        return current_time()
+
+    assert k.run(main()) == START + 1
+
+
+def test_a_failing_child_cancels_its_siblings_and_fails_the_scope():
+    k = Kernel(seed=0)
+    cleaned = []
+
+    async def sibling():
+        try:
+            await sleep(100)
+        finally:
+            cleaned.append(("sibling", current_time()))
+
+    async def failing():
+        await sleep(1)
+        raise ValueError("boom")
+
+    async def main():
+        with pytest.raises(ValueError, match="boom"):
+            async with Scope() as scope:
+                other = spawn(sibling())
+                spawn(failing())
+                try:
+                    await sleep(100)
+                finally:
+                    cleaned.append(("body", current_time()))
+        assert other.cancelled and not scope.tasks
+        return current_time()
+
+    assert k.run(main()) == START + 1
+    assert sorted(cleaned) == [("body", START + 1), ("sibling", START + 1)]
+
+
+class _Recording(Kernel):
+    """A kernel that keeps every task it starts."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.started = []
+
+    def spawn(self, coro, name=None):
+        task = super().spawn(coro, name)
+        self.started.append(task)
+        return task
+
+
+def test_no_task_outlives_kernel_run():
+    k = _Recording(seed=0)
+    cleaned = []
+
+    async def sleeper():
+        try:
+            await sleep(3600)
+        finally:
+            cleaned.append(current_time())
+
+    async def nested():
+        async with Scope():
+            spawn(sleeper())
+            await sleep(3600)
+
+    async def main():
+        spawn(sleeper())
+        spawn(nested())
+        await sleep(1)
+        return "done"
+
+    # main returns while three tasks sleep: each one's finally has run
+    # before run() returns, and nothing it started is left unfinished
+    assert k.run(main()) == "done"
+    assert cleaned == [START + 1, START + 1]
+    assert len(k.started) == 4 and all(t.finished for t in k.started)
 
 
 def test_cancel_before_first_step_closes_the_coroutine():

@@ -2,6 +2,7 @@ import os
 import random
 import signal
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -717,17 +718,20 @@ class TestSenderStart:
         assert "session_start" not in [e["event"] for e in world.kernel.trace.events]
 
     @pytest.mark.parametrize("when", ["after-code", "before-accept"])
-    def test_source_swapped_for_a_fifo_ends_io_without_blocking(
+    def test_source_swapped_for_a_fifo_is_never_read(
         self, when, payload_file, tmp_path
     ):
-        """A FIFO put in place of the source after the first check fails its next open.
+        """A FIFO put in place of the source after the open is never opened.
 
         ``after-code``: swapped while the code is shown, before the hash.
         ``before-accept``: swapped while the receiver decides, before the
-        body is read. A blocking open would wait for a writer for ever; the
+        body is read. The sender hashes and streams the file it opened
+        first, so the lone sender hunts to its deadline and the pair
+        completes. An open of the FIFO would wait for a writer for ever; the
         alarm turns such a hang into a failure.
         """
         path = payload_file(5000)
+        original = Path(path).read_bytes()
 
         def swap():
             os.remove(path)
@@ -749,17 +753,38 @@ class TestSenderStart:
                 out = world.kernel.run(run_sender(
                     sender, world.config(discovery_deadline=2), path, on_code=lambda code: swap()
                 ))
+                assert (out.status, out.reason, out.detail) == (
+                    "failed", "not-found", "discovery-timeout"
+                )
             else:
                 out, r_out, _ = run_pair(
                     world, path, str(tmp_path / "inbox"), decide=swap_then_accept
                 )
-                assert (r_out.status, r_out.reason) == ("aborted", "connection-lost")
+                assert (out.status, r_out.status) == ("completed", "completed")
+                assert Path(r_out.path).read_bytes() == original
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        status = "failed" if when == "after-code" else "aborted"
-        assert (out.status, out.reason) == (status, "io")
-        assert out.detail.endswith("not a regular file")
+
+    def test_source_renamed_over_after_the_hash_sends_the_hashed_bytes(
+        self, payload_file, tmp_path
+    ):
+        # an editor saves by writing a new file and renaming it over the old
+        # one; the sender streams the file it hashed, not the new one
+        path = payload_file(5000)
+        original = Path(path).read_bytes()
+
+        async def rename_then_accept(manifest):
+            with open(path + ".swp", "wb") as f:
+                f.write(random.Random(5).randbytes(5000))
+            os.replace(path + ".swp", path)
+            return True
+
+        s_out, r_out, _ = run_pair(
+            build_world(seed=10), path, str(tmp_path / "inbox"), decide=rename_then_accept
+        )
+        assert (s_out.status, r_out.status) == ("completed", "completed")
+        assert Path(r_out.path).read_bytes() == original
 
     def test_read_error_during_the_hash_ends_io_after_the_code(
         self, payload_file, monkeypatch

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcp.errors import ConnectionLost, DialError, InvalidArgument
-from pcp.kernel import Kernel, current_time, sleep, spawn
+from pcp.kernel import Kernel, Scope, current_time, sleep, spawn
 from pcp.simnet import SimulatedNetwork
 
 
@@ -376,3 +376,22 @@ def test_trace_determinism_same_seed():
 
 def test_trace_differs_across_seeds():
     assert trace_of_scripted_run(21) != trace_of_scripted_run(22)
+
+
+def test_stop_wakes_a_task_parked_in_accept():
+    k, net = make_net()
+
+    async def main():
+        b = net.spawn_node(["lan0"])
+
+        async def stop_later():
+            await sleep(1)
+            b.stop()
+
+        spawn(stop_later())
+        with pytest.raises(DialError):
+            async with Scope(3600):
+                await b.accept()
+        return current_time()
+
+    assert k.run(main()) == k.now() == 1_700_000_001.0

@@ -6,11 +6,12 @@ refactor that should leave behaviour alone must leave these hashes alone.
 A change that alters the trace on purpose updates the pin and says why.
 The values were computed on CPython 3.11.7.
 
-Last update: a lookup traces ``provider_found`` once per provider, when
-its stream takes the provider in, instead of once per poll that answers
-with it; each pin is the previous battery trace less every repeated
-``provider_found`` (same node, key, backend and provider within one
-trace), renumbered.
+Last update: a session's hunt is one kernel scope that cancels and joins
+its tasks before the session traces ``losers_cancelled``, so the reset of
+a loser's connection, aborted as its handshake is cancelled, is traced
+before ``losers_cancelled`` and the ``awaiting-confirmation`` phase of the
+same tick instead of after them. Each event kind's count, every event's
+time and every field are unchanged; only events with the same ``t`` moved.
 """
 
 import pytest
@@ -18,8 +19,8 @@ import pytest
 from test_acceptance import _scenario_battery
 
 GOLDEN = {
-    1234: "47ff030913493c76c0d52854dd2e6a03eea46ece499f4c6959f691485abeab50",
-    4321: "aaca52438413d2698eebcbbfa87be7c0e6575a28731f431daa08140e2ed51251",
+    1234: "76a7f7a2b05bd958e6470fd464375f48f2852f62e9a64016d01ae8fc9959eecd",
+    4321: "bbb946beb9fc1daac2d2f135cde5663bf7ff84fd1fe42fa0f13f79668523e066",
 }
 
 

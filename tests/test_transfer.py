@@ -22,9 +22,12 @@ from pcp.transfer import (
     EMPTY_SHA256,
     TransferManifest,
     manifest_for_file,
+    open_source,
     receive_file,
     send_file,
 )
+
+from conftest import send_path
 
 BINDING = "/pcp/1700000000/7"
 
@@ -204,7 +207,7 @@ def _run_transfer(payload: bytes, tmp_path, decide=accept_all, seed=0, name="src
 
     async def main():
         chan_s, chan_r = await fx.channels()
-        st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
+        st = spawn(send_path(chan_s, str(src)))
         rt = spawn(receive_file(chan_r, decide, dest))
         return await st.join(), await rt.join(), chan_s
 
@@ -216,7 +219,8 @@ _KILLED_PAST_HALF_THE_BODY = """
 import os, signal, sys
 from test_transfer import _ChannelFixture, accept_all
 from pcp.kernel import spawn
-from pcp.transfer import manifest_for_file, receive_file, send_file
+from conftest import send_path
+from pcp.transfer import receive_file
 
 src, dest = sys.argv[1:]
 fx = _ChannelFixture()
@@ -227,7 +231,7 @@ def kill_past_half(done, total):
 
 async def main():
     chan_s, chan_r = await fx.channels()
-    spawn(send_file(chan_s, src, manifest_for_file(src)))
+    spawn(send_path(chan_s, src))
     await spawn(receive_file(chan_r, accept_all, dest, progress=kill_past_half)).join()
 
 fx.kernel.run(main())
@@ -249,7 +253,8 @@ _UNDER_A_FILE_SIZE_LIMIT = """
 import json, resource, signal, sys
 from test_transfer import _ChannelFixture, accept_all
 from pcp.kernel import spawn
-from pcp.transfer import manifest_for_file, receive_file, send_file
+from conftest import send_path
+from pcp.transfer import receive_file
 
 src, dest, limit = sys.argv[1], sys.argv[2], int(sys.argv[3])
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
@@ -258,7 +263,7 @@ fx = _ChannelFixture()
 
 async def main():
     chan_s, chan_r = await fx.channels()
-    st = spawn(send_file(chan_s, src, manifest_for_file(src)))
+    st = spawn(send_path(chan_s, src))
     r_out = await spawn(receive_file(chan_r, accept_all, dest)).join()
     return await st.join(), r_out, chan_s
 
@@ -299,7 +304,7 @@ class TestEndToEnd:
 
         async def main():
             chan_s, chan_r = await fx.channels()
-            st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
+            st = spawn(send_path(chan_s, str(src)))
             rt = spawn(
                 receive_file(
                     chan_r, accept_all, str(tmp_path / "inbox"),
@@ -331,7 +336,7 @@ class TestEndToEnd:
 
         async def main():
             chan_s, chan_r = await fx.channels()
-            st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
+            st = spawn(send_path(chan_s, str(src)))
             rt = spawn(receive_file(chan_r, accept_all, str(not_a_dir)))
             return await st.join(), await rt.join(), chan_r
 
@@ -372,7 +377,7 @@ class TestEndToEnd:
 
         async def main():
             chan_s, chan_r = await fx.channels()
-            st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
+            st = spawn(send_path(chan_s, str(src)))
             rt = spawn(receive_file(
                 chan_r, decide, str(tmp_path / "inbox"),
                 on_accept=lambda: seen.append(chan_r._send_counter),
@@ -528,7 +533,7 @@ class TestEndToEnd:
                 fx.net.partition("lan0")
 
             spawn(cut_after_three_chunks())
-            st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
+            st = spawn(send_path(chan_s, str(src)))
             rt = spawn(
                 receive_file(
                     chan_r, accept_all, dest,
@@ -553,21 +558,24 @@ class TestEndToEnd:
         ids=["5000", "3MiB+1-last-byte"],
     )
     def test_source_mutated_after_manifest_aborts(self, before, after, tmp_path):
-        # same size, different bytes: receiver's digest check must catch it
+        # same size, different bytes, written in place into the open file:
+        # receiver's digest check must catch it
         fx = _ChannelFixture()
         src = tmp_path / "src.bin"
         src.write_bytes(before)
-        manifest = manifest_for_file(str(src))
+        source = open_source(str(src))
+        manifest = manifest_for_file(str(src), source)
         src.write_bytes(after)
         dest = str(tmp_path / "inbox")
 
         async def main():
             chan_s, chan_r = await fx.channels()
-            st = spawn(send_file(chan_s, str(src), manifest))
+            st = spawn(send_file(chan_s, source, manifest))
             rt = spawn(receive_file(chan_r, accept_all, dest))
             return await st.join(), await rt.join()
 
-        s_out, r_out = fx.kernel.run(main())
+        with source:
+            s_out, r_out = fx.kernel.run(main())
         assert r_out.status == "aborted"
         assert (r_out.reason, r_out.detail) == ("peer-error", "content digest mismatch")
         assert not os.listdir(dest)
@@ -576,17 +584,19 @@ class TestEndToEnd:
         fx = _ChannelFixture()
         src = tmp_path / "src.bin"
         src.write_bytes(b"A" * 100)
-        manifest = manifest_for_file(str(src))
+        source = open_source(str(src))
+        manifest = manifest_for_file(str(src), source)
         src.write_bytes(b"A" * 200)
         dest = str(tmp_path / "inbox")
 
         async def main():
             chan_s, chan_r = await fx.channels()
-            st = spawn(send_file(chan_s, str(src), manifest))
+            st = spawn(send_file(chan_s, source, manifest))
             rt = spawn(receive_file(chan_r, accept_all, dest))
             return await st.join(), await rt.join()
 
-        s_out, r_out = fx.kernel.run(main())
+        with source:
+            s_out, r_out = fx.kernel.run(main())
         assert s_out.status == "aborted"
         assert r_out.status == "aborted"
         assert _holds_only(dest)
@@ -685,7 +695,7 @@ class TestConfirmedPeerMisbehaves:
 
         async def main():
             chan_s, chan_r = await fx.channels()
-            st = spawn(send_file(chan_s, str(src), manifest_for_file(str(src))))
+            st = spawn(send_path(chan_s, str(src)))
             await chan_r.recv()  # the manifest
             await chan_r.send(transfer._app_frame(transfer.SUB_CHUNK))
             return await st.join(), chan_s
@@ -774,7 +784,7 @@ class TestSenderFuzz:
 
         async def main(src):
             chan_s, chan_r = await fx.channels()
-            st_ = spawn(send_file(chan_s, src, manifest_for_file(src)))
+            st_ = spawn(send_path(chan_s, src))
             try:
                 await chan_r.recv()  # the manifest
                 for frame in frames:

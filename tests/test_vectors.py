@@ -25,7 +25,9 @@ from pcp import auth, pake, simnet
 from pcp.auth import PakeSecret, confirm_key, derive_session_keys, pake_handshake
 from pcp.kernel import Kernel, spawn
 from pcp.simnet import SimulatedNetwork
-from pcp.transfer import manifest_for_file, receive_file, send_file
+from pcp.transfer import receive_file
+
+from conftest import send_path
 
 PASSWORD = b"abandon-zoo-zebra-wrap"
 BINDING = "/pcp/1699999800/0"
@@ -152,7 +154,7 @@ def test_a_session_sends_the_pinned_frames(pow_provider, tmp_path, monkeypatch):
             random.Random(RESPONDER_SEED), allowed_bindings={BINDING},
         )
         chan = await confirm_key(conn, keys, transcript)
-        return await send_file(chan, src, manifest_for_file(src))
+        return await send_path(chan, src)
 
     async def main():
         sending = spawn(send_side())
