@@ -232,15 +232,14 @@ async def _scenario_transfer(args, world: SimWorld, out) -> int:
         send_args = parser.parse_args(["send", "--sim-config", args.sim_config, src])
         send_task = world.kernel.spawn(send_command(send_args, world, send_out), name="cli-send")
 
+        # bounded: the sender prints its code before its first await, or ends by its deadline
         code = None
-        for _ in range(10_000):
+        while code is None and not send_task.finished:
             await ker.sleep(0.05)
             for line in send_out.getvalue().splitlines():
                 if line.startswith(CODE_PREFIX):
                     code = line[len(CODE_PREFIX):].strip()
                     break
-            if code or send_task.finished:
-                break
         if code is None:
             print("simulate: sender never printed a passphrase", file=out)
             return EXIT_IO

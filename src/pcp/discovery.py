@@ -11,9 +11,11 @@ link. Routing mechanics are deliberately not simulated because the
 protocol above only depends on record semantics and timing.
 
 Lookups poll: the querying side typically starts before the provider has
-published, so a one-shot fetch would miss it. A stream yields each live
-provider at most once and ends at its deadline; it queries only while its
-reader waits in ``next()``, so dropping or cancelling the reader ends it.
+published, so a one-shot fetch would miss it. A stream yields each provider
+whose record is within its TTL, at most once. It has no deadline of its own:
+it queries only while its reader waits in ``next()``, so the reader's scope
+ends it. As on a real DHT, a stopped provider's record stays until its TTL;
+dialing it is what fails.
 """
 
 from __future__ import annotations
@@ -40,24 +42,24 @@ class ProviderRecord:
 class ProviderStream:
     """Single-consumer incremental lookup, polled on the task that reads it.
 
-    ``next()`` returns the next previously-unseen live provider, or None
-    once the deadline has passed. With nothing buffered it queries the
-    backend, at most once per ``query_interval`` after the previous query
-    ended; an answer that lands after the deadline is dropped. Each provider
-    is traced once, as ``provider_found``, when the stream takes it in. A
+    ``next()`` returns the next provider not returned before, waiting as
+    long as it takes. With nothing buffered it queries the backend, at most
+    once per ``query_interval`` after the previous query ended. Bound it
+    with the reader's ``Scope``: a query in flight when that scope is
+    cancelled is cancelled with it, and its answer dropped. Each provider is
+    traced once, as ``provider_found``, when the stream takes it in. A
     stream nobody reads does no work.
     """
 
-    def __init__(self, backend: "DiscoveryBackend", node: SimNode, key: bytes, deadline: float):
+    def __init__(self, backend: "DiscoveryBackend", node: SimNode, key: bytes):
         self._backend = backend
         self._node = node
         self._key = key
-        self._deadline = deadline  # absolute virtual time
         self._yielded: set[str] = set()
         self._ready: deque[PeerAddress] = deque()
         self._next_query = node.kernel.now()
 
-    async def next(self) -> PeerAddress | None:
+    async def next(self) -> PeerAddress:
         kernel = self._node.kernel
         while True:
             if not self._backend.started:
@@ -65,15 +67,11 @@ class ProviderStream:
             if self._ready:
                 return self._ready.popleft()
             now = kernel.now()
-            if now >= self._deadline:
-                return None
             if now < self._next_query:
-                await ker.sleep(min(self._next_query, self._deadline) - now)
+                await ker.sleep(self._next_query - now)
                 continue
             answers = await self._backend._query_once(self._node, self._key)
             self._next_query = kernel.now() + self._backend.query_interval
-            if kernel.now() > self._deadline:
-                return None  # the answer landed too late: dropped
             for addr in answers:
                 if addr.peer_id not in self._yielded and addr.peer_id != self._node.address.peer_id:
                     self._yielded.add(addr.peer_id)
@@ -141,10 +139,10 @@ class DiscoveryBackend:
         """The links this backend reaches from ``node``, right now."""
         raise NotImplementedError
 
-    def find_providers(self, node: SimNode, key: bytes, deadline: float) -> ProviderStream:
-        """A lookup ending ``deadline`` seconds from now; it queries only while read."""
+    def find_providers(self, node: SimNode, key: bytes) -> ProviderStream:
+        """A lookup from ``node``; it queries only while read, until its reader's scope ends."""
         self._check_started()
-        return ProviderStream(self, node, key, self.kernel.now() + deadline)
+        return ProviderStream(self, node, key)
 
     async def _publish(self, node: SimNode, key: bytes) -> list[VirtualLink]:
         """Store ``node``'s record under every scope it reaches; return those scopes."""
@@ -158,22 +156,18 @@ class DiscoveryBackend:
         return scopes
 
     async def _query_once(self, node: SimNode, key: bytes) -> list[PeerAddress]:
-        """One answer: the live providers on every scope, less what the link loses.
+        """One answer: every record within its TTL on every scope, less what the link loses.
 
         The caller, ``ProviderStream.next``, has just checked that the
-        backend is started. Stale records and stopped providers are dropped
-        before the loss roll, so they draw nothing from the loss stream.
+        backend is started. Stale records are dropped before the loss roll,
+        so they draw nothing from the loss stream.
         """
         await ker.sleep(self._latency.draw(self._rng))
         now = self.kernel.now()
         found: dict[str, PeerAddress] = {}
         for link in self._scopes(node):
             for record in self._records.get(link.link_id, {}).get(key, {}).values():
-                if (
-                    record.live(now)
-                    and self.network.is_live(record.provider.peer_id)
-                    and not self.network.loss_roll(link)
-                ):
+                if record.live(now) and not self.network.loss_roll(link):
                     found.setdefault(record.provider.peer_id, record.provider)
         return list(found.values())
 

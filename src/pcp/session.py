@@ -204,25 +204,31 @@ class _Session:
         ``no_winner`` gives the outcome when the deadline passes without a
         confirmed candidate; the failed phase carries its detail, or else
         its ending. A session cancelled while it holds a confirmed channel
-        aborts that channel, so the peer sees a reset at once.
+        aborts that channel, so the peer sees a reset at once. A cancelled
+        session ends in phase ``failed`` with detail ``cancelled``, after
+        ``losers_cancelled``, and re-raises.
         """
         try:
-            async with self.hunt:
-                begin()
-                winner = await self._pick_winner()
-        except ker.WaitTimeout:
-            outcome = no_winner()
-            self.advance(PHASE_FAILED, detail=outcome.detail or outcome.reason.value)
-            return outcome
-        finally:
-            for late in self.confirmed:  # left here only by a cancelled session
-                late.chan.abort()
-            self.emit("losers_cancelled")
-        self.advance("awaiting-confirmation", peer=winner.peer_id[:8])
-        try:
-            outcome = await transfer(winner)
-        except BaseException:  # cancelled: the peer must not wait on this channel for ever
-            winner.chan.abort()
+            try:
+                async with self.hunt:
+                    begin()
+                    winner = await self._pick_winner()
+            except ker.WaitTimeout:
+                outcome = no_winner()
+                self.advance(PHASE_FAILED, detail=outcome.detail or outcome.reason.value)
+                return outcome
+            finally:
+                for late in self.confirmed:  # left here only by a cancelled session
+                    late.chan.abort()
+                self.emit("losers_cancelled")
+            self.advance("awaiting-confirmation", peer=winner.peer_id[:8])
+            try:
+                outcome = await transfer(winner)
+            except BaseException:  # cancelled: the peer must not wait on this channel for ever
+                winner.chan.abort()
+                raise
+        except ker.Cancelled:
+            self.advance(PHASE_FAILED, detail="cancelled")
             raise
         if outcome.status == STATUS_COMPLETED:
             self.advance("done")
@@ -352,9 +358,10 @@ async def run_receiver(
         await session.authenticate(conn, binding)
 
     async def pump(stream: ProviderStream, binding: str) -> None:
-        """Read one lookup to its deadline, dialing each provider not dialed yet."""
+        """Read one lookup until the hunt ends, dialing each provider not dialed yet."""
         try:
-            while (addr := await stream.next()) is not None:
+            while True:
+                addr = await stream.next()
                 if addr.peer_id not in dialed:
                     dialed.add(addr.peer_id)
                     ker.spawn(candidate(addr, binding), name="receiver-candidate")
@@ -362,10 +369,9 @@ async def run_receiver(
             logger.warning("a discovery backend stopped mid-lookup")
 
     def query(key: DiscoveryKey) -> None:
-        remaining = session.hunt.deadline - node.kernel.now()
         for backend in config.backends:
             try:
-                stream = backend.find_providers(node, key.content_key, deadline=remaining)
+                stream = backend.find_providers(node, key.content_key)
             except BackendUnavailable:
                 continue
             ker.spawn(pump(stream, key.id_string), name="pump")

@@ -141,10 +141,6 @@ class SimulatedNetwork:
     def node_for(self, peer_id: str) -> "SimNode | None":
         return self._nodes.get(peer_id)
 
-    def is_live(self, peer_id: str) -> bool:
-        node = self._nodes.get(peer_id)
-        return node is not None and not node.stopped
-
     def wan_reachable(self, node: "SimNode") -> bool:
         link = self._links.get(WAN_LINK)
         return (

@@ -1,8 +1,8 @@
 import pytest
 
 from pcp.discovery import DEFAULT_TTL, SimulatedDht, SimulatedMdns
-from pcp.errors import BackendUnavailable
-from pcp.kernel import Kernel, current_time, sleep, spawn
+from pcp.errors import BackendUnavailable, DialError
+from pcp.kernel import Kernel, Scope, WaitTimeout, current_time, sleep, spawn
 from pcp.simnet import SimulatedNetwork
 
 K1 = bytes.fromhex("11" * 32)
@@ -18,12 +18,15 @@ def make(seed=0, **dht_kw):
     return k, net, dht, mdns
 
 
-async def collect(stream):
-    """Drain a provider stream to its deadline."""
-    out = []
-    while (addr := await stream.next()) is not None:
-        out.append(addr)
-    return out
+async def collect(stream, within):
+    """Read a provider stream in a ``within``-second scope; return what it found by then."""
+    found = []
+    try:
+        async with Scope(within):
+            while True:
+                found.append(await stream.next())
+    except WaitTimeout:
+        return found
 
 
 def test_default_ttl_is_24h():
@@ -36,7 +39,7 @@ def test_provide_then_find_from_other_node():
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
         await dht.provide(a, K1)
-        found = await collect(dht.find_providers(b, K1, deadline=2.0))
+        found = await collect(dht.find_providers(b, K1), 2.0)
         assert [f.peer_id for f in found] == [a.address.peer_id]
 
     k.run(main())
@@ -51,11 +54,11 @@ def test_record_expires_after_ttl(which):
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
         await backend.provide(a, K1)
         await sleep(DEFAULT_TTL + 1.0)
-        assert await collect(backend.find_providers(b, K1, deadline=0.5)) == []
+        assert await collect(backend.find_providers(b, K1), 0.5) == []
         # never reappears unless re-provided
-        assert await collect(backend.find_providers(b, K1, deadline=0.5)) == []
+        assert await collect(backend.find_providers(b, K1), 0.5) == []
         await backend.provide(a, K1)
-        found = await collect(backend.find_providers(b, K1, deadline=0.5))
+        found = await collect(backend.find_providers(b, K1), 0.5)
         assert len(found) == 1
 
     k.run(main())
@@ -70,9 +73,9 @@ def test_provide_without_wan_is_lost_and_stores_nothing():
         await dht.provide(a, K1)
         net.partition("wan", severed=False)
         # the healed wan does not bring back a publish that went nowhere
-        assert await collect(dht.find_providers(b, K1, deadline=0.5)) == []
+        assert await collect(dht.find_providers(b, K1), 0.5) == []
         await dht.provide(a, K1)
-        found = await collect(dht.find_providers(b, K1, deadline=0.5))
+        found = await collect(dht.find_providers(b, K1), 0.5)
         assert [f.peer_id for f in found] == [a.address.peer_id]
 
     k.run(main())
@@ -89,7 +92,7 @@ def test_reprovide_refreshes_publish_time():
         await sleep(0.75 * DEFAULT_TTL)
         await dht.provide(a, K1)  # refresh
         await sleep(0.5 * DEFAULT_TTL)  # 1.25 TTLs after first publish, 0.5 after refresh
-        found = await collect(dht.find_providers(b, K1, deadline=0.5))
+        found = await collect(dht.find_providers(b, K1), 0.5)
         assert len(found) == 1
 
     k.run(main())
@@ -104,7 +107,7 @@ def test_multiple_providers_reported():
         c = net.spawn_node(["lan1"])
         await dht.provide(a, K1)
         await dht.provide(c, K1)
-        found = await collect(dht.find_providers(b, K1, deadline=2.0))
+        found = await collect(dht.find_providers(b, K1), 2.0)
         assert sorted(f.peer_id for f in found) == sorted(
             [a.address.peer_id, c.address.peer_id]
         )
@@ -125,7 +128,7 @@ def test_no_duplicate_yield_in_one_stream():
                 await dht.provide(a, K1)
 
         spawn(republish())
-        found = await collect(dht.find_providers(b, K1, deadline=1.5))
+        found = await collect(dht.find_providers(b, K1), 1.5)
         assert len(found) == 1
 
     k.run(main())
@@ -137,7 +140,7 @@ def test_no_providers_empty_not_error():
     async def main():
         b = net.spawn_node(["lan0"])
         t0 = current_time()
-        found = await collect(dht.find_providers(b, K1, deadline=0.1))
+        found = await collect(dht.find_providers(b, K1), 0.1)
         assert found == []
         assert current_time() - t0 >= 0.1 - 1e-6
 
@@ -155,10 +158,9 @@ def test_provider_published_after_query_start_is_found():
             await dht.provide(a, K1)
 
         spawn(late_publish())
-        stream = dht.find_providers(b, K1, deadline=1.0)
-        addr = await stream.next()
-        assert addr is not None and addr.peer_id == a.address.peer_id
-        # found strictly after the publish completed, within the deadline
+        addr = await dht.find_providers(b, K1).next()
+        assert addr.peer_id == a.address.peer_id
+        # found strictly after the publish completed, within a second
         assert 0.15 < current_time() - 1_700_000_000.0 <= 1.0
 
     k.run(main())
@@ -170,7 +172,7 @@ def test_unread_lookup_does_no_work():
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
         await dht.provide(a, K1)
-        dht.find_providers(b, K1, deadline=1.0)  # never read
+        dht.find_providers(b, K1)  # never read
         await sleep(2.0)
 
     k.run(main())
@@ -183,10 +185,33 @@ def test_answer_landing_after_deadline_is_dropped():
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
         await dht.provide(a, K1)
-        assert await dht.find_providers(b, K1, deadline=0.3).next() is None
-        # the record is there: a lookup that outlives one query finds it
-        found = await collect(dht.find_providers(b, K1, deadline=1.0))
+        with pytest.raises(WaitTimeout):
+            async with Scope(0.3):
+                await dht.find_providers(b, K1).next()
+        await sleep(0.5)  # past the time the cancelled query's answer would have landed
+        assert [e for e in net.trace.events if e["event"] == "provider_found"] == []
+        # the record is there: a read that outlives one query finds it
+        found = await collect(dht.find_providers(b, K1), 1.0)
         assert [f.peer_id for f in found] == [a.address.peer_id]
+
+    k.run(main())
+
+
+def test_read_without_a_bound_of_its_own_waits_for_a_late_provider():
+    k, net, dht, _ = make()
+
+    async def main():
+        a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
+
+        async def late_publish():
+            await sleep(5.0)
+            await dht.provide(a, K1)
+
+        spawn(late_publish())
+        t0 = current_time()
+        addr = await dht.find_providers(b, K1).next()
+        assert addr.peer_id == a.address.peer_id
+        assert current_time() - t0 > 5.0
 
     k.run(main())
 
@@ -200,7 +225,7 @@ def test_querier_never_sees_itself(which):
         a = net.spawn_node(["lan0"])
         await backend.provide(a, K1)
         # own records are filtered; visible to peers only
-        assert await collect(backend.find_providers(a, K1, deadline=0.5)) == []
+        assert await collect(backend.find_providers(a, K1), 0.5) == []
 
     k.run(main())
 
@@ -213,8 +238,8 @@ def test_local_advertise_scope_isolation():
         b = net.spawn_node(["lan0"])
         c = net.spawn_node(["lan1"])
         await mdns.provide(a, K1)
-        same = await collect(mdns.find_providers(b, K1, deadline=0.5))
-        other = await collect(mdns.find_providers(c, K1, deadline=0.5))
+        same = await collect(mdns.find_providers(b, K1), 0.5)
+        other = await collect(mdns.find_providers(c, K1), 0.5)
         assert [f.peer_id for f in same] == [a.address.peer_id]
         assert other == []
 
@@ -230,7 +255,7 @@ def test_two_local_advertisers_both_reported():
         c = net.spawn_node(["lan0"])
         await mdns.provide(a, K1)
         await mdns.provide(c, K1)
-        found = await collect(mdns.find_providers(b, K1, deadline=0.5))
+        found = await collect(mdns.find_providers(b, K1), 0.5)
         assert sorted(f.peer_id for f in found) == sorted(
             [a.address.peer_id, c.address.peer_id]
         )
@@ -244,14 +269,14 @@ def test_stopped_backend_raises_unavailable():
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
         await dht.provide(a, K1)
-        stream = dht.find_providers(b, K1, deadline=5.0)
+        stream = dht.find_providers(b, K1)
         dht.stop()
         with pytest.raises(BackendUnavailable):
             await dht.provide(a, K1)
         with pytest.raises(BackendUnavailable):
             await stream.next()
         with pytest.raises(BackendUnavailable):
-            dht.find_providers(b, K1, deadline=1.0)
+            dht.find_providers(b, K1)
 
     k.run(main())
 
@@ -261,7 +286,7 @@ def test_backend_stopped_mid_lookup_raises_at_the_next_query():
 
     async def main():
         b = net.spawn_node(["lan0"])
-        stream = dht.find_providers(b, K1, deadline=10.0)
+        stream = dht.find_providers(b, K1)
 
         async def stopper():
             await sleep(0.3)
@@ -271,13 +296,14 @@ def test_backend_stopped_mid_lookup_raises_at_the_next_query():
         t0 = current_time()
         with pytest.raises(BackendUnavailable):
             await stream.next()
-        # not held until the deadline: the first query after the stop fails
+        # not held until the reader gives up: the first query after the stop fails
         assert current_time() - t0 < 0.5
 
     k.run(main())
 
 
-def test_stopped_provider_not_reported():
+def test_stopped_provider_reported_until_its_ttl():
+    """A record outlives its provider, as in a real DHT; the dial is what fails."""
     k, net, dht, mdns = make()
 
     async def main():
@@ -285,10 +311,15 @@ def test_stopped_provider_not_reported():
         await dht.provide(a, K1)
         await mdns.provide(a, K1)
         a.stop()
-        assert await collect(dht.find_providers(b, K1, deadline=0.5)) == []
-        assert await collect(mdns.find_providers(b, K1, deadline=0.5)) == []
+        for backend in (dht, mdns):
+            found = await collect(backend.find_providers(b, K1), 0.5)
+            assert [f.peer_id for f in found] == [a.address.peer_id]
+        with pytest.raises(DialError):
+            await b.dial(found[0])
 
     k.run(main())
+    fails = [e["reason"] for e in net.trace.events if e["event"] == "dial_failed"]
+    assert fails == ["peer-down"]
 
 
 def test_wan_partition_blinds_global_backend_only():
@@ -299,11 +330,11 @@ def test_wan_partition_blinds_global_backend_only():
         await dht.provide(a, K1)
         await mdns.provide(a, K1)
         net.partition("wan")
-        assert await collect(dht.find_providers(b, K1, deadline=0.5)) == []
-        found = await collect(mdns.find_providers(b, K1, deadline=0.5))
+        assert await collect(dht.find_providers(b, K1), 0.5) == []
+        found = await collect(mdns.find_providers(b, K1), 0.5)
         assert [f.peer_id for f in found] == [a.address.peer_id]
         net.partition("wan", severed=False)
-        found = await collect(dht.find_providers(b, K1, deadline=0.5))
+        found = await collect(dht.find_providers(b, K1), 0.5)
         assert [f.peer_id for f in found] == [a.address.peer_id]
 
     k.run(main())
@@ -318,7 +349,7 @@ def test_lossy_link_delays_but_does_not_prevent_discovery():
     async def main():
         a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
         await mdns.provide(a, K1)
-        found = await collect(mdns.find_providers(b, K1, deadline=10.0))
+        found = await collect(mdns.find_providers(b, K1), 10.0)
         assert [f.peer_id for f in found] == [a.address.peer_id]
 
     k.run(main())
@@ -335,7 +366,7 @@ def test_local_backend_faster_than_global():
         results = []
 
         async def probe(backend, tag):
-            stream = backend.find_providers(b, K1, deadline=5.0)
+            stream = backend.find_providers(b, K1)
             addr = await stream.next()
             results.append((current_time() - t0, tag, addr.peer_id))
 

@@ -252,6 +252,30 @@ class TestAuthScenarios:
                  if e["event"] in ("dial_failed", "conn_open")]
         assert dials == [("dial_failed", "peer-down")]
 
+    def test_sender_stopped_after_publishing_is_dialed_once_then_not_found(
+        self, payload_file, tmp_path
+    ):
+        # the stopped sender's records stay until their TTL, as in a real
+        # DHT: the receiver finds them, and its one dial is what fails
+        world = build_world(seed=17)
+        cfg = world.config(discovery_deadline=5)
+        sender, receiver = world.node(), world.node()
+        code_box = []
+
+        async def main():
+            spawn(run_sender(sender, cfg, payload_file(2500), on_code=code_box.append))
+            while not any(e["event"] == "provide" for e in world.kernel.trace.events):
+                await sleep(0.01)
+            sender.stop()
+            return await run_receiver(receiver, cfg, code_box[0],
+                                      dest_dir=str(tmp_path / "inbox"), decide=accept_all)
+
+        r_out = world.kernel.run(main())
+        assert (r_out.status, r_out.reason) == ("failed", "not-found")
+        dials = [(e["event"], e.get("reason")) for e in world.kernel.trace.events
+                 if e["event"] in ("dial_failed", "conn_open")]
+        assert dials == [("dial_failed", "peer-down")]
+
     def test_receiver_decline_gives_rejected_on_both_sides(self, payload_file, tmp_path):
         world = build_world(seed=12)
         s_out, r_out, _ = run_pair(
@@ -470,6 +494,28 @@ class TestCancelledSession:
         sessions = [(e["role"], e["node"]) for e in events if e["event"] == "session_start"]
         cancels = [(e["role"], e["node"]) for e in events if e["event"] == "losers_cancelled"]
         assert len(sessions) == 2 and sorted(cancels) == sorted(sessions)
+
+    @pytest.mark.parametrize("when", ["discovering", "transfer", "arbitrating", "queued"])
+    def test_cancelled_session_ends_failed_cancelled(
+        self, when, payload_file, tmp_path, monkeypatch
+    ):
+        """The receiver's trace ends in phase ``failed``, detail ``cancelled``, once."""
+        world = build_world(seed=3)
+        if when in ("discovering", "transfer"):
+            async def slow_decide(manifest):
+                await sleep(5.0)
+                return True
+
+            self._run(world, payload_file(1000), str(tmp_path), decide=slow_decide,
+                      cancel_after=2.0 if when == "transfer" else 0.001)
+        else:
+            arm, _ = self._cancel_on_confirm(monkeypatch, before_put=when == "queued")
+            self._run(world, payload_file(1000), str(tmp_path), arm=arm)
+        mine = [(e["event"], e.get("phase"), e.get("detail"))
+                for e in world.kernel.trace.events if e.get("role") == "receiver"]
+        assert mine[-1] == ("phase", "failed", "cancelled")
+        assert ("losers_cancelled", None, None) in mine[:-1]
+        assert [m for m in mine if m[1] == "failed"] == [mine[-1]]
 
 
 class TestCollisionScenarios:
