@@ -14,8 +14,9 @@ Lookups poll: the querying side typically starts before the provider has
 published, so a one-shot fetch would miss it. A stream yields each provider
 whose record is within its TTL, at most once. It has no deadline of its own:
 it queries only while its reader waits in ``next()``, so the reader's scope
-ends it. As on a real DHT, a stopped provider's record stays until its TTL;
-dialing it is what fails.
+ends it. A stopped node reaches no scope on either backend: it neither
+publishes nor finds. As on a real DHT, a record it published before it
+stopped stays until its TTL; dialing it is what fails.
 """
 
 from __future__ import annotations
@@ -139,6 +140,10 @@ class DiscoveryBackend:
         """The links this backend reaches from ``node``, right now."""
         raise NotImplementedError
 
+    def _reach(self, node: SimNode) -> list[VirtualLink]:
+        """``_scopes``, or none once ``node`` is stopped."""
+        return [] if node.stopped else self._scopes(node)
+
     def find_providers(self, node: SimNode, key: bytes) -> ProviderStream:
         """A lookup from ``node``; it queries only while read, until its reader's scope ends."""
         self._check_started()
@@ -149,7 +154,7 @@ class DiscoveryBackend:
         self._check_started()
         await ker.sleep(self._latency.draw(self._rng))
         record = ProviderRecord(node.address, self.kernel.now())
-        scopes = self._scopes(node)
+        scopes = self._reach(node)
         for link in scopes:
             by_peer = self._records.setdefault(link.link_id, {}).setdefault(key, {})
             by_peer[node.address.peer_id] = record
@@ -165,7 +170,7 @@ class DiscoveryBackend:
         await ker.sleep(self._latency.draw(self._rng))
         now = self.kernel.now()
         found: dict[str, PeerAddress] = {}
-        for link in self._scopes(node):
+        for link in self._reach(node):
             for record in self._records.get(link.link_id, {}).get(key, {}).values():
                 if record.live(now) and not self.network.loss_roll(link):
                     found.setdefault(record.provider.peer_id, record.provider)

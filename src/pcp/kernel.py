@@ -9,9 +9,11 @@ waiting on the wall clock, which is what makes exhaustive slot-boundary
 and timeout testing cheap.
 
 The scheduler is intentionally tiny: tasks suspend by yielding a single
-"park" trap, and everything else (events, joins, deadlines) is built from
-wake-ups with stale-wake protection. ``Event`` is the only waiter: a
-producer keeps its own items, then sets and replaces its reader's event.
+"park" trap, and one call, ``Task._resume``, puts a parked task back on the
+run queue. ``Event`` is the only waiter, and everything else (sleeps, joins,
+deadlines) is built from it: a producer keeps its own items, then sets and
+replaces its reader's event. A wait that ends without its ``set`` takes its
+task out of the event's waiter list, so no wake-up can arrive stale.
 Cancellation is delivered as a ``Cancelled`` throw at the task's current
 park, or at its next one if it is not parked, and is prompt: a cancelled
 task runs its cleanup on the very next tick. A second request before it
@@ -53,7 +55,6 @@ import heapq
 import json
 import logging
 import random
-from collections import deque
 from concurrent import futures
 from typing import Any, Callable, Coroutine, Iterator
 
@@ -127,20 +128,18 @@ class TraceLog:
 
 
 class _ParkTrap:
-    """The single scheduler trap: suspend until woken or timed out."""
+    """The single scheduler trap; only ``Event.wait`` parks, and leaves its list when it ends."""
 
-    __slots__ = ("timeout",)
-
-    def __init__(self, timeout: float | None):
-        self.timeout = timeout
+    __slots__ = ()
 
     def __await__(self):
         yield self
 
 
+_PARK = _ParkTrap()
+
 # task states
 _READY = "ready"
-_RUNNING = "running"
 _PARKED = "parked"
 _DONE = "done"
 
@@ -162,7 +161,6 @@ class Task:
         self.done = Event()
         # the scope that owns this task, then the scopes it has open, innermost last
         self.scopes = [scope]
-        self._park_seq = 0
         self._pending_cancel = False
         self._cancel_called = False
         self._started = False
@@ -185,15 +183,15 @@ class Task:
             self.kernel._finalize(self, exception=TaskCancelled(self.name))
         elif not self._cancel_called:
             self._cancel_called = True
-            self._interrupt()
+            self._resume(Cancelled())
         return True
 
-    def _interrupt(self) -> None:
-        """Throw Cancelled at the current park, or at the next one if not parked."""
+    def _resume(self, exc: BaseException | None = None) -> None:
+        """Run a parked task again, ``exc`` thrown at its park; else keep ``exc`` for later."""
         if self.state == _PARKED:
             self.state = _READY
-            self.kernel._push_resume(self, exc=Cancelled())
-        else:
+            self.kernel._push_resume(self, exc)
+        elif exc is not None:
             self._pending_cancel = True
 
     async def join(self) -> Any:
@@ -247,7 +245,7 @@ class Scope:
     def _cancel(self) -> None:
         self.cancelled = True
         if self._owner is not None:
-            self._owner._interrupt()
+            self._owner._resume(Cancelled())
         for task in list(self.tasks):
             task.cancel()
 
@@ -301,12 +299,6 @@ class Kernel:
     def _push_resume(self, task: Task, exc: BaseException | None = None) -> None:
         self.call_at(self._now, lambda: self._step(task, exc))
 
-    def _wake(self, task: Task, park_seq: int) -> None:
-        """Wake a parked task if it is still in the same park; else no-op."""
-        if task.state == _PARKED and task._park_seq == park_seq:
-            task.state = _READY
-            self._push_resume(task)
-
     # -- task stepping -----------------------------------------------------
 
     def _step(self, task: Task, exc: BaseException | None) -> None:
@@ -317,7 +309,6 @@ class Kernel:
             task._pending_cancel = False
             exc = Cancelled()
         self.current_task = task
-        task.state = _RUNNING
         try:
             if exc is not None:
                 trap = task.coro.throw(exc)
@@ -331,20 +322,15 @@ class Kernel:
         except BaseException as err:  # noqa: BLE001 - kernel boundary
             self._finalize(task, exception=err)
         else:
-            if not isinstance(trap, _ParkTrap):
+            if trap is not _PARK:
                 bad = TypeError(f"task {task.name} yielded {trap!r}; only kernel "
                                 f"primitives may be awaited")
                 self._finalize(task, exception=bad)
-            elif task._pending_cancel:
-                task._pending_cancel = False
-                task.state = _READY
-                self._push_resume(task, exc=Cancelled())
             else:
                 task.state = _PARKED
-                task._park_seq += 1
-                if trap.timeout is not None:
-                    seq = task._park_seq
-                    self.call_at(self._now + trap.timeout, lambda: self._wake(task, seq))
+                if task._pending_cancel:  # cancelled while it ran: throw at this park
+                    task._pending_cancel = False
+                    task._resume(Cancelled())
         finally:
             self.current_task = None
 
@@ -420,7 +406,9 @@ def spawn(coro: Coroutine, name: str | None = None) -> Task:
 
 async def sleep(seconds: float) -> None:
     """Suspend for ``seconds`` of virtual time (0 yields one scheduler tick)."""
-    await _ParkTrap(max(0.0, seconds))
+    wakeup = Event()
+    current_kernel().call_at(current_time() + seconds, wakeup.set)
+    await wakeup.wait()
 
 
 class Event:
@@ -430,18 +418,21 @@ class Event:
 
     def __init__(self) -> None:
         self._flag = False
-        self._waiters: deque[tuple[Task, int]] = deque()
+        self._waiters: list[Task] = []  # the tasks parked in wait(), in arrival order
 
     def set(self) -> None:
         self._flag = True
-        while self._waiters:
-            task, seq = self._waiters.popleft()
-            task.kernel._wake(task, seq)
+        waiters, self._waiters = self._waiters, []
+        for task in waiters:
+            task._resume()
 
     async def wait(self) -> None:
         """Return once set."""
+        task = current_kernel().current_task
         while not self._flag:
-            task = current_kernel().current_task
-            # the upcoming park bumps _park_seq exactly once
-            self._waiters.append((task, task._park_seq + 1))
-            await _ParkTrap(None)
+            self._waiters.append(task)
+            try:
+                await _PARK
+            finally:
+                if not self._flag:  # ended by a cancellation: leave the list
+                    self._waiters.remove(task)

@@ -6,10 +6,11 @@ routing; severing it takes down both cross-link dialing and the global
 discovery backend. Connections are reliable ordered duplex byte streams
 (TCP-like): per-direction delivery times are drawn from the link's latency
 range but never reorder, and a drop (abort, partition, node stop) surfaces
-as ConnectionLost on both ends. Each connection end keeps its own inbox and
-each node its own accept backlog; a reader waits on a kernel Event that the
-producer sets, then replaces. All randomness comes from the owning kernel's
-seeded RNG streams, so a seed fully determines every trace.
+as ConnectionLost on both ends. Each connection end is one ``Connection``
+that keeps the connection's id and link, its own error and its own inbox,
+and each node keeps its own accept backlog; a reader waits on a kernel Event
+that the producer sets, then replaces. All randomness comes from the owning
+kernel's seeded RNG streams, so a seed fully determines every trace.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ class SimulatedNetwork:
         if severed:
             for node in list(self._nodes.values()):
                 for conn in list(node._conns):
-                    if conn.core.link is link:
-                        conn.core.drop("partition")
+                    if conn.link is link:
+                        conn.drop("partition")
 
     # -- lookups used by discovery and dialing -----------------------------
 
@@ -143,12 +144,7 @@ class SimulatedNetwork:
 
     def wan_reachable(self, node: "SimNode") -> bool:
         link = self._links.get(WAN_LINK)
-        return (
-            link is not None
-            and link.up
-            and not node.stopped
-            and node.address.peer_id in link.members
-        )
+        return link is not None and link.up and node.address.peer_id in link.members
 
     def shared_live_links(self, a: "SimNode", b: "SimNode") -> list[VirtualLink]:
         """Live links both nodes sit on, cheapest first (stable order)."""
@@ -188,7 +184,7 @@ class SimNode:
         self.stopped = True
         self.network.trace.emit("node_stopped", node=self.address.short())
         for conn in list(self._conns):
-            conn.core.drop("node-stopped")
+            conn.drop("node-stopped")
         self._arrival.set()  # a task parked in accept() wakes to fail
 
     async def accept(self) -> "Connection":
@@ -211,29 +207,29 @@ class SimNode:
         links = self.network.shared_live_links(self, target)
         if not links:
             self._dial_failed(to, "unreachable")
-        link = links[0]
-        core = _ConnectionCore(self.network, link)
-        await ker.sleep(core.draw_delay())  # connect request travels
+        link, network = links[0], self.network
+        network._conn_seq += 1
+        conn_id = f"c{network._conn_seq}"
+        await ker.sleep(link.latency.draw(network._rng_latency))  # connect request travels
         if self.stopped:
             self._dial_failed(to, "dialer-stopped")
         if target.stopped or not link.up:
             self._dial_failed(to, "peer-down")
-        local_end, remote_end = Connection(core, self), Connection(core, target)
-        local_end.peer, remote_end.peer = remote_end, local_end
-        core.ends = (local_end, remote_end)
+        local_end = Connection(conn_id, link, self)
+        remote_end = local_end.peer = Connection(conn_id, link, target, peer=local_end)
         target._inbound.append(remote_end)
         target._arrival.set()
         target._arrival = ker.Event()
-        self.network.trace.emit(
+        network.trace.emit(
             "conn_open",
-            conn=core.conn_id,
+            conn=conn_id,
             src=self.address.short(),
             dst=to.short(),
             link=link.link_id,
         )
-        await ker.sleep(core.draw_delay())  # accept response travels back
-        if core.error is not None:
-            raise DialError(f"connection lost during dial: {core.error}")
+        await ker.sleep(link.latency.draw(network._rng_latency))  # accept response travels back
+        if local_end.error is not None:
+            raise DialError(f"connection lost during dial: {local_end.error}")
         return local_end
 
     def _dial_failed(self, to: PeerAddress, reason: str):
@@ -243,59 +239,23 @@ class SimNode:
         raise DialError(f"cannot reach {to.short()}: {reason}")
 
 
-class _ConnectionCore:
-    """State shared by both endpoints of one connection."""
-
-    def __init__(self, network: SimulatedNetwork, link: VirtualLink):
-        network._conn_seq += 1
-        self.network = network
-        self.kernel = network.kernel
-        self.link = link
-        self.conn_id = f"c{network._conn_seq}"
-        self.error: str | None = None
-        self.ends: tuple[Connection, ...] = ()  # (dialer's end, acceptor's end)
-
-    def draw_delay(self) -> float:
-        return self.link.latency.draw(self.network._rng_latency)
-
-    def deliver(self, end: "Connection", payload: bytes | None) -> None:
-        """Queue ``payload`` (None is EOF) for ``end``; a drop before arrival discards it.
-
-        The object itself is delivered, not a copy.
-        """
-        deliver_at = max(self.kernel.now() + self.draw_delay(), end.floor)
-        end.floor = deliver_at
-
-        def arrive():
-            if self.error is not None:
-                return
-            if payload is None:
-                end.eof = True
-            elif payload:
-                end.segments.append(payload)
-            end.wake()
-
-        self.kernel.call_at(deliver_at, arrive)
-
-    def drop(self, reason: str) -> None:
-        """Hard failure: kill in-flight data, error both directions."""
-        if self.error is not None:
-            return
-        self.error = reason
-        for end in self.ends:
-            end.wake()
-            end.node._conns.pop(end, None)
-        self.network.trace.emit("conn_drop", conn=self.conn_id, reason=reason)
-
-
 class Connection:
-    """One endpoint's handle on a duplex reliable stream, and its inbox."""
+    """One end of a duplex reliable stream: its inbox, and its send direction.
 
-    def __init__(self, core: _ConnectionCore, node: SimNode):
-        self.core = core
+    ``dial`` makes both ends at once and links them through ``peer``; each
+    end keeps the connection's id and link, and a drop errors both together.
+    """
+
+    def __init__(
+        self, conn_id: str, link: VirtualLink, node: SimNode, peer: "Connection | None" = None
+    ):
+        self.conn_id = conn_id
+        self.link = link
         self.node = node
         self.local = node.address
-        self.peer: Connection | None = None  # the other end, linked by dial()
+        self.peer = peer  # the other end; dial() makes its own end first, without one
+        self.dialer = peer is None  # a drop wakes the dialer's end first
+        self.error: str | None = None  # why the connection dropped, on both ends at once
         self.send_closed = False
         self.segments: deque = deque()  # delivered, unread; a part-read head is a memoryview
         self.eof = False
@@ -311,18 +271,46 @@ class Connection:
     def remote(self) -> PeerAddress:
         return self.peer.local
 
+    def deliver(self, payload: bytes | None) -> None:
+        """Queue ``payload`` (None is EOF) for this end; a drop before arrival discards it.
+
+        The object itself is delivered, not a copy.
+        """
+        net = self.node.network
+        self.floor = max(net.kernel.now() + self.link.latency.draw(net._rng_latency), self.floor)
+
+        def arrive():
+            if self.error is not None:
+                return
+            if payload is None:
+                self.eof = True
+            elif payload:
+                self.segments.append(payload)
+            self.wake()
+
+        net.kernel.call_at(self.floor, arrive)
+
+    def drop(self, reason: str) -> None:
+        """Hard failure: kill in-flight data, error both ends, the dialer's first."""
+        if self.error is not None:
+            return
+        for end in (self, self.peer) if self.dialer else (self.peer, self):
+            end.error = reason
+            end.wake()
+            end.node._conns.pop(end, None)
+        self.node.network.trace.emit("conn_drop", conn=self.conn_id, reason=reason)
+
     async def send(self, data: bytes) -> None:
         """Queue ``data`` for the peer; the connection takes ownership of it.
 
         No copy is made: the peer's reads return ``data`` itself or views of
         it, so the caller must not mutate it afterwards.
         """
-        core = self.core
-        if core.error is not None:
-            raise ConnectionLost(f"connection {core.conn_id} is down: {core.error}")
+        if self.error is not None:
+            raise ConnectionLost(f"connection {self.conn_id} is down: {self.error}")
         if self.send_closed:
             raise ConnectionLost("send on closed connection")
-        core.deliver(self.peer, data)
+        self.peer.deliver(data)
 
     async def recv(self, max_bytes: int = 65536) -> bytes:
         """Next bytes of at most one sent segment; b'' on clean EOF; ConnectionLost on drop.
@@ -340,8 +328,8 @@ class Connection:
                 view = memoryview(head)
                 segments[0] = view[max_bytes:]
                 return bytes(view[:max_bytes])
-            if self.core.error is not None:
-                raise ConnectionLost(f"connection dropped: {self.core.error}")
+            if self.error is not None:
+                raise ConnectionLost(f"connection dropped: {self.error}")
             if self.eof:
                 return b""
             await self.activity.wait()
@@ -364,14 +352,13 @@ class Connection:
 
     async def close(self) -> None:
         """Graceful shutdown of our sending direction (peer sees EOF)."""
-        core = self.core
-        if core.error is None and not self.send_closed:
+        if self.error is None and not self.send_closed:
             self.send_closed = True
-            core.deliver(self.peer, None)
+            self.peer.deliver(None)
         self.node._conns.pop(self, None)
-        if core.error is None and self.peer.send_closed:
-            core.network.trace.emit("conn_closed", conn=core.conn_id)
+        if self.error is None and self.peer.send_closed:
+            self.node.network.trace.emit("conn_closed", conn=self.conn_id)
 
     def abort(self) -> None:
         """Hard drop; both ends observe a terminal stream error."""
-        self.core.drop("reset")
+        self.drop("reset")

@@ -400,6 +400,8 @@ async def receive_file(
                     raise ProtocolError("empty chunk")
                 offset = int.from_bytes(payload[:8], "big")
                 data = payload[8:]
+                if len(data) > manifest.chunk_size:
+                    raise ProtocolError("chunk larger than announced")
                 if offset != received or received + len(data) > manifest.size:
                     raise ProtocolError("chunk out of order")
                 body.write(data)

@@ -322,6 +322,29 @@ def test_stopped_provider_reported_until_its_ttl():
     assert fails == ["peer-down"]
 
 
+def test_stopped_node_neither_publishes_nor_finds():
+    """A stopped node reaches no scope on either backend; a live one still finds the rest."""
+    k, net, dht, mdns = make()
+
+    async def main():
+        a, b, c = (net.spawn_node(["lan0"]) for _ in range(3))
+        b.stop()
+        for backend in (dht, mdns):
+            await backend.provide(a, K1)
+            await backend.provide(b, K1)
+            assert await collect(backend.find_providers(b, K1), 0.5) == []
+            found = await collect(backend.find_providers(c, K1), 0.5)
+            assert [f.peer_id for f in found] == [a.address.peer_id]
+        return b.address.short()
+
+    stopped = k.run(main())
+    published = [
+        (e["event"], e["backend"]) for e in net.trace.events
+        if e["event"] in ("provide", "provide_lost", "advertise") and e["node"] == stopped
+    ]
+    assert published == [("provide_lost", "dht")]
+
+
 def test_wan_partition_blinds_global_backend_only():
     k, net, dht, mdns = make()
 

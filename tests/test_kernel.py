@@ -84,6 +84,27 @@ def test_event_wait_set_and_timeout():
     assert k.run(main()) == START + 1.5
 
 
+def test_a_wait_ended_without_its_set_leaves_the_waiter_list():
+    """A wait cut short by a deadline or a cancel takes its task out of the event's list."""
+    k = Kernel(seed=0)
+    ev = Event()
+
+    async def main():
+        with pytest.raises(WaitTimeout):
+            async with Scope(0.5):
+                await ev.wait()
+        assert not ev._waiters
+        waiter = spawn(ev.wait())
+        await sleep(0.5)
+        assert list(ev._waiters) == [waiter]
+        waiter.cancel()
+        with pytest.raises(TaskCancelled):
+            await waiter.join()
+        assert not ev._waiters
+
+    k.run(main())
+
+
 def test_scope_result_timeout_and_error():
     k = Kernel(seed=0)
     cleaned = []

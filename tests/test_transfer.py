@@ -688,6 +688,31 @@ class TestConfirmedPeerMisbehaves:
         assert (r_out.reason, r_out.detail) == ("peer-error", detail)
         assert _holds_only(dest)
 
+    def test_receiver_aborts_on_a_chunk_longer_than_the_manifest_announced(self, tmp_path):
+        # the whole body fits the size, but not the 4-byte chunk its manifest promised
+        fx = _ChannelFixture()
+        dest = str(tmp_path / "inbox")
+        manifest = TransferManifest(
+            "src.bin", len(_BODY), hashlib.sha256(_BODY).hexdigest(), chunk_size=4
+        )
+
+        async def main():
+            chan_s, chan_r = await fx.channels()
+            rt = spawn(receive_file(chan_r, accept_all, dest))
+            await chan_s.send(transfer._app_frame(transfer.SUB_MANIFEST, manifest.encode()))
+            await chan_s.recv()  # the accept
+            try:
+                await chan_s.send(_chunk_frame(0, _BODY))
+                await chan_s.send(transfer._app_frame(transfer.SUB_END))
+            except ConnectionLost:
+                pass  # the receiver gave up first
+            return await rt.join()
+
+        r_out = fx.kernel.run(main())
+        assert r_out.status == "aborted"
+        assert (r_out.reason, r_out.detail) == ("peer-error", "chunk larger than announced")
+        assert _holds_only(dest)
+
     def test_sender_aborts_on_unexpected_reply_subtype(self, tmp_path):
         fx = _ChannelFixture()
         src = tmp_path / "src.bin"
