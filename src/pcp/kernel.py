@@ -14,10 +14,10 @@ run queue. ``Event`` is the only waiter, and everything else (sleeps, joins,
 deadlines) is built from it: a producer keeps its own items, then sets and
 replaces its reader's event. A wait that ends without its ``set`` takes its
 task out of the event's waiter list, so no wake-up can arrive stale.
-Cancellation is delivered as a ``Cancelled`` throw at the task's current
-park, or at its next one if it is not parked, and is prompt: a cancelled
-task runs its cleanup on the very next tick. A second request before it
-finishes adds nothing.
+Cancellation is a ``Cancelled`` throw at the task's current park, or at
+its next step if it is not parked (before its first line if it has not run
+yet), and is prompt: a cancelled task runs its cleanup on the very next
+tick. A second request before it finishes adds nothing.
 
 Every deadline and every child task belongs to a ``Scope``, used as
 ``async with Scope(timeout):`` in the style of Trio's cancel scopes and
@@ -163,7 +163,6 @@ class Task:
         self.scopes = [scope]
         self._pending_cancel = False
         self._cancel_called = False
-        self._started = False
 
     def __repr__(self) -> str:
         return f"<Task {self.name} {self.state}>"
@@ -173,15 +172,10 @@ class Task:
         return self.state == _DONE
 
     def cancel(self) -> bool:
-        """Request cancellation; returns False if the task already finished."""
+        """Request a ``Cancelled`` throw at the task's next step; False if it already finished."""
         if self.state == _DONE:
             return False
-        if not self._started:
-            # never dispatched: close the coroutine right here
-            self.coro.close()
-            self.cancelled = True
-            self.kernel._finalize(self, exception=TaskCancelled(self.name))
-        elif not self._cancel_called:
+        if not self._cancel_called:
             self._cancel_called = True
             self._resume(Cancelled())
         return True
@@ -288,7 +282,7 @@ class Kernel:
         heapq.heappush(self._heap, (max(when, self._now), self._seq, fn))
 
     def spawn(self, coro: Coroutine, name: str | None = None) -> Task:
-        """Start ``coro`` in the innermost scope open in the calling task."""
+        """Start ``coro`` in the calling task's innermost scope; outside a run, at the next run."""
         parent = self.current_task
         scope = self._root if parent is None else parent.scopes[-1]
         task = Task(self, coro, name, scope)
@@ -304,7 +298,6 @@ class Kernel:
     def _step(self, task: Task, exc: BaseException | None) -> None:
         if task.state == _DONE:
             return
-        task._started = True
         if task._pending_cancel and exc is None:
             task._pending_cancel = False
             exc = Cancelled()

@@ -248,19 +248,22 @@ async def stream_file(
 
     Each chunk is read into one reusable buffer behind its sub-type byte and
     offset; ``seal`` encrypts it, before the next read, into a frame carved
-    from the channel's send slab.
+    from the channel's send slab. No read goes past the manifest's size: a
+    source that ends early, or still has a byte after it, aborts with
+    ``source-size-changed`` before the end marker.
     """
     sent = 0
     message = memoryview(bytearray(CHUNK_HEADER_LEN + manifest.chunk_size))
     message[0] = SUB_CHUNK
+    body = message[CHUNK_HEADER_LEN:]
     try:
-        while n := source.readinto(message[CHUNK_HEADER_LEN:]):
+        while n := source.readinto(body[: manifest.size - sent]):
             message[1:CHUNK_HEADER_LEN] = sent.to_bytes(8, "big")
             await chan.send(message[: CHUNK_HEADER_LEN + n])
             sent += n
             if progress:
                 progress(sent, manifest.size)
-        if sent != manifest.size:
+        if sent != manifest.size or source.read(1):
             raise OSError("source-size-changed")
         await chan.send(_app_frame(SUB_END))
         eof = await chan.conn.recv()

@@ -277,13 +277,52 @@ def test_cancel_before_first_step_closes_the_coroutine():
         coro = victim()
         t = spawn(coro)
         assert t.cancel() is True  # main has not yielded: victim never stepped
-        assert inspect.getcoroutinestate(coro) == inspect.CORO_CLOSED
         with pytest.raises(TaskCancelled):
             await t.join()
         assert t.cancelled
+        assert inspect.getcoroutinestate(coro) == inspect.CORO_CLOSED
 
     k.run(main())
     assert ran == []
+
+
+@pytest.mark.parametrize("how", ["direct", "failing-sibling"])
+def test_a_task_cancelled_before_its_first_step_ends_at_that_step(how):
+    k = Kernel(seed=0)
+    ran, done_order, tasks = [], [], {}
+
+    async def victim():
+        ran.append("body")
+
+    async def failing():
+        raise ValueError("boom")
+
+    async def watch(name):
+        await tasks[name].done.wait()
+        done_order.append(name)
+
+    async def main():
+        if how == "direct":
+            tasks["victim"] = spawn(victim())
+            assert tasks["victim"].cancel() is True
+            assert not tasks["victim"].finished  # it ends at its own first step
+            await sleep(0)
+        else:
+            # the watchers first run once main parks, so both tasks exist by then
+            spawn(watch("failing"))
+            spawn(watch("victim"))
+            with pytest.raises(ValueError, match="boom"):
+                async with Scope():
+                    tasks["failing"] = spawn(failing())
+                    tasks["victim"] = spawn(victim())  # cancelled by failing's first step
+                    await sleep(100)
+            await sleep(0)  # the watchers' tick
+            assert done_order == ["failing", "victim"]
+        victim_task = tasks["victim"]
+        assert victim_task.finished and victim_task.cancelled and ran == []
+        return current_time()
+
+    assert k.run(main()) == START
 
 
 def test_task_that_cancels_itself_is_cancelled_at_its_next_park():

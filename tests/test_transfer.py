@@ -580,13 +580,14 @@ class TestEndToEnd:
         assert (r_out.reason, r_out.detail) == ("peer-error", "content digest mismatch")
         assert not os.listdir(dest)
 
-    def test_source_grown_after_manifest_aborts(self, tmp_path):
+    @pytest.mark.parametrize("grown_to", [200, 200_000])
+    def test_source_grown_after_manifest_aborts(self, tmp_path, grown_to):
         fx = _ChannelFixture()
         src = tmp_path / "src.bin"
         src.write_bytes(b"A" * 100)
         source = open_source(str(src))
         manifest = manifest_for_file(str(src), source)
-        src.write_bytes(b"A" * 200)
+        src.write_bytes(b"A" * grown_to)
         dest = str(tmp_path / "inbox")
 
         async def main():
@@ -598,6 +599,8 @@ class TestEndToEnd:
         with source:
             s_out, r_out = fx.kernel.run(main())
         assert s_out.status == "aborted"
+        # nothing past the announced size is read or sent
+        assert (s_out.bytes_received, s_out.detail) == (100, "source-size-changed")
         assert r_out.status == "aborted"
         assert _holds_only(dest)
 
