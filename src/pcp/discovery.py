@@ -16,7 +16,10 @@ whose record is within its TTL, at most once. It has no deadline of its own:
 it queries only while its reader waits in ``next()``, so the reader's scope
 ends it. A stopped node reaches no scope on either backend: it neither
 publishes nor finds. As on a real DHT, a record it published before it
-stopped stays until its TTL; dialing it is what fails.
+stopped stays until its TTL; dialing it is what fails. A stopped backend
+is, to every node, what a stopped node is to itself: it reaches no scope,
+so a publish goes nowhere and a lookup answers nothing until its reader's
+scope ends.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import kernel as ker
-from .errors import BackendUnavailable, InvalidArgument
+from .errors import InvalidArgument
 from .simnet import WAN_LINK, LatencyRange, PeerAddress, SimNode, SimulatedNetwork, VirtualLink
 
 DEFAULT_TTL = 86_400.0  # records may linger for up to 24 hours
@@ -63,8 +66,6 @@ class ProviderStream:
     async def next(self) -> PeerAddress:
         kernel = self._node.kernel
         while True:
-            if not self._backend.started:
-                raise BackendUnavailable("backend stopped during lookup")
             if self._ready:
                 return self._ready.popleft()
             now = kernel.now()
@@ -122,16 +123,13 @@ class DiscoveryBackend:
         self._rng = self.kernel.rng(f"{self.tag}.latency")
         self._records: dict[str, dict[bytes, dict[str, ProviderRecord]]] = {}
 
-    @property
-    def name(self) -> str:
-        return type(self).__name__
-
     def stop(self) -> None:
-        self.started = False
+        """Take the backend down for every node: from now on it reaches no scope.
 
-    def _check_started(self) -> None:
-        if not self.started:
-            raise BackendUnavailable(f"{self.name} is stopped")
+        Records already stored stay, but no node reaches them; a publish
+        stores nothing and a lookup answers nothing, as under a partition.
+        """
+        self.started = False
 
     async def provide(self, node: SimNode, key: bytes):
         raise NotImplementedError
@@ -141,17 +139,15 @@ class DiscoveryBackend:
         raise NotImplementedError
 
     def _reach(self, node: SimNode) -> list[VirtualLink]:
-        """``_scopes``, or none once ``node`` is stopped."""
-        return [] if node.stopped else self._scopes(node)
+        """``_scopes``, or none once ``node`` or this backend is stopped."""
+        return self._scopes(node) if self.started and not node.stopped else []
 
     def find_providers(self, node: SimNode, key: bytes) -> ProviderStream:
         """A lookup from ``node``; it queries only while read, until its reader's scope ends."""
-        self._check_started()
         return ProviderStream(self, node, key)
 
     async def _publish(self, node: SimNode, key: bytes) -> list[VirtualLink]:
         """Store ``node``'s record under every scope it reaches; return those scopes."""
-        self._check_started()
         await ker.sleep(self._latency.draw(self._rng))
         record = ProviderRecord(node.address, self.kernel.now())
         scopes = self._reach(node)
@@ -163,9 +159,8 @@ class DiscoveryBackend:
     async def _query_once(self, node: SimNode, key: bytes) -> list[PeerAddress]:
         """One answer: every record within its TTL on every scope, less what the link loses.
 
-        The caller, ``ProviderStream.next``, has just checked that the
-        backend is started. Stale records are dropped before the loss roll,
-        so they draw nothing from the loss stream.
+        Stale records are dropped before the loss roll, so they draw
+        nothing from the loss stream.
         """
         await ker.sleep(self._latency.draw(self._rng))
         now = self.kernel.now()

@@ -18,10 +18,6 @@ class PassphraseParseError(InvalidArgument):
     """Passphrase text could not be decoded against the wordlist."""
 
 
-class BackendUnavailable(PcpError):
-    """A discovery backend was used after being stopped."""
-
-
 class DialError(PcpError):
     """The target peer is unreachable or not accepting connections."""
 

@@ -27,7 +27,6 @@ runs shares it, so the password-only exponentiations run once per session.
 
 from __future__ import annotations
 
-import logging
 import os
 import random
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from typing import Awaitable, Callable, Collection
 from . import kernel as ker
 from .auth import ROLE_INITIATOR, ROLE_RESPONDER, PakeSecret, SecureChannel, confirm_key, pake_handshake
 from .discovery import DiscoveryBackend, ProviderStream
-from .errors import BackendUnavailable, DialError, InvalidArgument, PcpError
+from .errors import DialError, InvalidArgument, PcpError
 from .pake import PakePassword
 from .passphrase import (
     DEFAULT_WORD_COUNT,
@@ -61,8 +60,6 @@ from .transfer import (
     receive_file,
     send_file,
 )
-
-logger = logging.getLogger("pcp.session")
 
 ROLE_SENDER = "sender"
 ROLE_RECEIVER = "receiver"
@@ -287,17 +284,11 @@ async def run_sender(
             return _cannot_send(path, e)
         session = _Session(node, ROLE_SENDER, config, words, rng)
 
-        async def provide(backend: DiscoveryBackend, key: DiscoveryKey) -> None:
-            try:
-                await backend.provide(node, key.content_key)
-            except PcpError as e:
-                logger.warning("publish failed on one backend: %s", e)
-
         def publish(key: DiscoveryKey) -> None:
             # all backends in parallel: a slow global publish must not hold
             # back the local advertisement
             for backend in config.backends:
-                ker.spawn(provide(backend, key), name="publish")
+                ker.spawn(backend.provide(node, key.content_key), name="publish")
 
         async def acceptor() -> None:
             while True:
@@ -359,21 +350,15 @@ async def run_receiver(
 
     async def pump(stream: ProviderStream, binding: str) -> None:
         """Read one lookup until the hunt ends, dialing each provider not dialed yet."""
-        try:
-            while True:
-                addr = await stream.next()
-                if addr.peer_id not in dialed:
-                    dialed.add(addr.peer_id)
-                    ker.spawn(candidate(addr, binding), name="receiver-candidate")
-        except BackendUnavailable:
-            logger.warning("a discovery backend stopped mid-lookup")
+        while True:
+            addr = await stream.next()
+            if addr.peer_id not in dialed:
+                dialed.add(addr.peer_id)
+                ker.spawn(candidate(addr, binding), name="receiver-candidate")
 
     def query(key: DiscoveryKey) -> None:
         for backend in config.backends:
-            try:
-                stream = backend.find_providers(node, key.content_key)
-            except BackendUnavailable:
-                continue
+            stream = backend.find_providers(node, key.content_key)
             ker.spawn(pump(stream, key.id_string), name="pump")
 
     def no_winner() -> TransferOutcome:

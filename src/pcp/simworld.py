@@ -18,8 +18,9 @@ backends exist, and the discovery deadline. Example:
 Every field is optional; the defaults give one LAN plus wan routing with
 both backends enabled. A value of the wrong JSON type, a field unknown at
 the top level or inside a link, ``wan``, ``dht`` or ``mdns`` object, a link
-name that ``node_links`` does not know, or a discovery deadline that is not
-a positive number raises InvalidArgument while the world is loaded.
+named ``wan`` (that name is reserved for the wan), a negative start time, a
+link name that ``node_links`` does not know, or a discovery deadline that is
+not a positive number raises InvalidArgument while the world is loaded.
 """
 
 from __future__ import annotations
@@ -91,11 +92,14 @@ class SimConfig:
         """Check each field's JSON type; SimWorld checks the values inside as it reads them."""
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise InvalidArgument(f"seed must be an integer, got {self.seed!r}")
-        _number(self.start_time, "start_time")
+        if _number(self.start_time, "start_time") < 0:
+            raise InvalidArgument(f"start_time must be >= 0, got {self.start_time}")
         if not isinstance(self.links, dict) or not all(
             isinstance(spec, dict) for spec in self.links.values()
         ):
             raise InvalidArgument(f"links must be an object of objects, got {self.links!r}")
+        if WAN_LINK in self.links:
+            raise InvalidArgument(f"links may not be named {WAN_LINK!r}: that name is the wan's")
         for link_id, spec in self.links.items():
             _no_unknown_fields(spec, _LINK_FIELDS, f"links.{link_id}")
         for name, known_fields in _NESTED_FIELDS.items():

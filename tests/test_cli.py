@@ -110,6 +110,8 @@ MALFORMED_SIM_CONFIGS = {
     "wan-unknown-field": '{"wan": {"latency": [20, 80]}}',
     "dht-unknown-field": '{"dht": {"op_latency": [1, 2]}}',
     "mdns-unknown-field": '{"mdns": {"query_interval": 250}}',
+    "link-named-wan": '{"wan": null, "links": {"wan": {}}}',
+    "negative-start-time": '{"start_time": -5}',
 }
 
 

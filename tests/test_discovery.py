@@ -1,7 +1,7 @@
 import pytest
 
 from pcp.discovery import DEFAULT_TTL, SimulatedDht, SimulatedMdns
-from pcp.errors import BackendUnavailable, DialError
+from pcp.errors import DialError
 from pcp.kernel import Kernel, Scope, WaitTimeout, current_time, sleep, spawn
 from pcp.simnet import SimulatedNetwork
 
@@ -263,43 +263,40 @@ def test_two_local_advertisers_both_reported():
     k.run(main())
 
 
-def test_stopped_backend_raises_unavailable():
-    k, net, dht, _ = make()
+@pytest.mark.parametrize("which", ["dht", "mdns"])
+def test_stopped_backend_neither_publishes_nor_finds(which):
+    """A stopped backend reaches no scope for any node, as a stopped node reaches none itself."""
+    k, net, dht, mdns = make()
+    backend = {"dht": dht, "mdns": mdns}[which]
 
     async def main():
-        a, b = net.spawn_node(["lan0"]), net.spawn_node(["lan0"])
-        await dht.provide(a, K1)
-        stream = dht.find_providers(b, K1)
-        dht.stop()
-        with pytest.raises(BackendUnavailable):
-            await dht.provide(a, K1)
-        with pytest.raises(BackendUnavailable):
-            await stream.next()
-        with pytest.raises(BackendUnavailable):
-            dht.find_providers(b, K1)
-
-    k.run(main())
-
-
-def test_backend_stopped_mid_lookup_raises_at_the_next_query():
-    k, net, dht, _ = make()
-
-    async def main():
-        b = net.spawn_node(["lan0"])
-        stream = dht.find_providers(b, K1)
+        a, b, c = (net.spawn_node(["lan0"]) for _ in range(3))
+        await backend.provide(a, K1)
+        made_before = backend.find_providers(b, K1)
 
         async def stopper():
             await sleep(0.3)
-            dht.stop()
+            backend.stop()
 
         spawn(stopper())
         t0 = current_time()
-        with pytest.raises(BackendUnavailable):
-            await stream.next()
-        # not held until the reader gives up: the first query after the stop fails
-        assert current_time() - t0 < 0.5
+        # b finds a before the stop, then nothing: the read ends with its scope
+        found = await collect(backend.find_providers(b, K1), 1.0)
+        assert [f.peer_id for f in found] == [a.address.peer_id]
+        assert current_time() - t0 == pytest.approx(1.0)
+        await backend.provide(c, K1)
+        # the store holds a's record from before the stop and nothing from c
+        assert [set(by_key[K1]) for by_key in backend._records.values()] == [{a.address.peer_id}]
+        assert await collect(made_before, 0.5) == []
+        assert await collect(backend.find_providers(b, K1), 0.5) == []
+        return c.address.short()
 
-    k.run(main())
+    late = k.run(main())
+    published = [
+        (e["event"], e["backend"]) for e in net.trace.events
+        if e["event"] in ("provide", "provide_lost", "advertise") and e["node"] == late
+    ]
+    assert published == ([("provide_lost", "dht")] if which == "dht" else [])
 
 
 def test_stopped_provider_reported_until_its_ttl():

@@ -200,8 +200,8 @@ class TestAuthScenarios:
         self, payload_file, tmp_path
     ):
         # the sender's record is already on the DHT, but the DHT is down by
-        # the time the receiver looks: its lookup is skipped and mDNS
-        # carries discovery alone
+        # the time the receiver looks: its lookup runs and answers nothing,
+        # and mDNS carries discovery alone
         world = build_world(seed=16)
         cfg = world.config()
         sender, receiver = world.node(), world.node()
