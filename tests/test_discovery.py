@@ -263,40 +263,58 @@ def test_two_local_advertisers_both_reported():
     k.run(main())
 
 
-@pytest.mark.parametrize("which", ["dht", "mdns"])
-def test_stopped_backend_neither_publishes_nor_finds(which):
-    """A stopped backend reaches no scope for any node, as a stopped node reaches none itself."""
-    k, net, dht, mdns = make()
-    backend = {"dht": dht, "mdns": mdns}[which]
+def test_stopped_backend_raises_unavailable():
+    """A stopped backend raises nothing any more: it reaches no scope, as a stopped node
+    reaches none itself, so a publish goes nowhere and every lookup finds nothing."""
+    for which in ("dht", "mdns"):
+        k, net, dht, mdns = make()
+        backend = {"dht": dht, "mdns": mdns}[which]
 
-    async def main():
-        a, b, c = (net.spawn_node(["lan0"]) for _ in range(3))
-        await backend.provide(a, K1)
-        made_before = backend.find_providers(b, K1)
-
-        async def stopper():
-            await sleep(0.3)
+        async def main():
+            a, b, c = (net.spawn_node(["lan0"]) for _ in range(3))
+            await backend.provide(a, K1)
+            made_before = backend.find_providers(b, K1)
             backend.stop()
+            await backend.provide(c, K1)
+            # the store holds a's record from before the stop and nothing from c
+            assert [set(by_key[K1]) for by_key in backend._records.values()] == [
+                {a.address.peer_id}
+            ]
+            assert await collect(made_before, 0.5) == []
+            assert await collect(backend.find_providers(b, K1), 0.5) == []
+            return c.address.short()
 
-        spawn(stopper())
-        t0 = current_time()
-        # b finds a before the stop, then nothing: the read ends with its scope
-        found = await collect(backend.find_providers(b, K1), 1.0)
-        assert [f.peer_id for f in found] == [a.address.peer_id]
-        assert current_time() - t0 == pytest.approx(1.0)
-        await backend.provide(c, K1)
-        # the store holds a's record from before the stop and nothing from c
-        assert [set(by_key[K1]) for by_key in backend._records.values()] == [{a.address.peer_id}]
-        assert await collect(made_before, 0.5) == []
-        assert await collect(backend.find_providers(b, K1), 0.5) == []
-        return c.address.short()
+        late = k.run(main())
+        published = [
+            (e["event"], e["backend"]) for e in net.trace.events
+            if e["event"] in ("provide", "provide_lost", "advertise") and e["node"] == late
+        ]
+        assert published == ([("provide_lost", "dht")] if which == "dht" else [])
 
-    late = k.run(main())
-    published = [
-        (e["event"], e["backend"]) for e in net.trace.events
-        if e["event"] in ("provide", "provide_lost", "advertise") and e["node"] == late
-    ]
-    assert published == ([("provide_lost", "dht")] if which == "dht" else [])
+
+def test_backend_stopped_mid_lookup_raises_at_the_next_query():
+    """A backend stopped mid-lookup raises nothing: the reader keeps what it found before
+    the stop, finds no provider published after it, and its read ends with its own scope."""
+    for which in ("dht", "mdns"):
+        k, net, dht, mdns = make()
+        backend = {"dht": dht, "mdns": mdns}[which]
+
+        async def main():
+            a, b, c = (net.spawn_node(["lan0"]) for _ in range(3))
+            await backend.provide(a, K1)
+
+            async def stopper():
+                await sleep(0.3)
+                backend.stop()
+                await backend.provide(c, K1)
+
+            spawn(stopper())
+            t0 = current_time()
+            found = await collect(backend.find_providers(b, K1), 1.0)
+            assert [f.peer_id for f in found] == [a.address.peer_id]
+            assert current_time() - t0 == pytest.approx(1.0)
+
+        k.run(main())
 
 
 def test_stopped_provider_reported_until_its_ttl():
