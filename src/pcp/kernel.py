@@ -35,10 +35,17 @@ nurseries:
 - ``Kernel.run`` runs ``main`` in the outermost scope, so no task outlives
   it.
 
-Besides the kernel's own thread there is one process-wide worker thread,
-``WORKER``, for the two CPU floors of a session: the PAKE's exponentiations
-that do not depend on each other, and the receiver's SHA-256 of the body.
-Its thread starts on the first submit, never at import. Its rules keep the
+Besides the kernel's own thread there is one process-wide worker thread
+for the two CPU floors of a session: the PAKE's exponentiations that do not
+depend on each other, and the receiver's SHA-256 of the body. Every job
+reaches it through ``submit``; its first call, never an import, starts the
+thread. The thread runs on the allowed CPUs other than the one the first
+submitter is on: a Linux cpuset with load balancing off never moves a
+thread, and a new thread starts on its creator's CPU, so left alone the two
+would take turns on one CPU while another idles. With one CPU allowed, or
+no ``/proc`` to say which CPU the submitter is on, the worker is left where
+it starts; the submitter's own affinity is never touched, so a scheduler
+that balances can still move it off the worker's CPU. Its rules keep the
 schedule, the RNG draws and the trace the same as on one thread:
 
 - a job is a leaf call into C code that releases the GIL (``_pow``, a
@@ -54,6 +61,7 @@ import hashlib
 import heapq
 import json
 import logging
+import os
 import random
 from concurrent import futures
 from typing import Any, Callable, Coroutine, Iterator
@@ -62,8 +70,47 @@ logger = logging.getLogger("pcp.kernel")
 
 DEFAULT_START_TIME = 1_700_000_000.0  # fixed epoch for reproducible runs
 
-# the worker thread; its rules are in the module docstring
-WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="pcp-worker")
+# the worker thread, started by the first submit; its rules are in the module docstring
+_worker: futures.ThreadPoolExecutor | None = None
+_THREAD_STAT = "/proc/thread-self/stat"
+
+
+def submit(job: Callable[..., Any], *args: Any) -> futures.Future:
+    """Run ``job(*args)`` on the worker thread; the first call starts it."""
+    global _worker
+    if _worker is None:
+        _worker = _start_worker()
+    return _worker.submit(job, *args)
+
+
+def _current_cpu() -> int | None:
+    """The CPU this thread is on now, field 39 of its stat; None without ``/proc``."""
+    try:
+        with open(_THREAD_STAT, "rb") as stat:
+            # the name in field 2 may hold spaces and ")"
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _start_worker() -> futures.ThreadPoolExecutor:
+    """A one-thread pool whose thread runs off the CPU this thread is on now."""
+    allowed, cpu = os.sched_getaffinity(0), _current_cpu()
+    place = len(allowed) > 1 and cpu in allowed
+    return futures.ThreadPoolExecutor(
+        max_workers=1,
+        thread_name_prefix="pcp-worker",
+        initializer=_run_on if place else None,
+        initargs=(allowed - {cpu},),
+    )
+
+
+def _run_on(cpus: set[int]) -> None:
+    """Limit the calling thread to ``cpus``; if the allowed set has changed since, stay put."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
 def overlap(job: Callable[[], Any], here: Callable[[], Any]) -> tuple[Any, Any]:
@@ -72,7 +119,7 @@ def overlap(job: Callable[[], Any], here: Callable[[], Any]) -> tuple[Any, Any]:
     The job is waited for even when ``here`` raises, so none outlives the
     call: its outcome is then dropped and ``here``'s error propagates.
     """
-    future = WORKER.submit(job)
+    future = submit(job)
     try:
         mine = here()
     except BaseException:

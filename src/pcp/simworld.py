@@ -19,8 +19,12 @@ Every field is optional; the defaults give one LAN plus wan routing with
 both backends enabled. A value of the wrong JSON type, a field unknown at
 the top level or inside a link, ``wan``, ``dht`` or ``mdns`` object, a link
 named ``wan`` (that name is reserved for the wan), a negative start time, a
-link name that ``node_links`` does not know, or a discovery deadline that is
-not a positive number raises InvalidArgument while the world is loaded.
+link name that ``node_links`` does not know, a discovery deadline that is
+not a positive number, or a world in which no enabled backend reaches a
+node made with the default memberships raises InvalidArgument while the
+world is loaded. The default memberships are ``node_links``, or every link
+when it is empty, plus the wan when it is on; the DHT reaches a node
+through the wan, and mDNS through any other link it is on.
 """
 
 from __future__ import annotations
@@ -89,7 +93,10 @@ class SimConfig:
     discovery_deadline: float = SessionConfig.discovery_deadline
 
     def __post_init__(self) -> None:
-        """Check each field's JSON type; SimWorld checks the values inside as it reads them."""
+        """Check each field's JSON type, and that some backend reaches a node.
+
+        SimWorld checks the values inside the fields as it reads them.
+        """
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise InvalidArgument(f"seed must be an integer, got {self.seed!r}")
         if _number(self.start_time, "start_time") < 0:
@@ -112,6 +119,14 @@ class SimConfig:
             raise InvalidArgument(f"node_links must name links in {known}, got {self.node_links!r}")
         if _number(self.discovery_deadline, "discovery_deadline") <= 0:
             raise InvalidArgument(f"discovery_deadline must be > 0, got {self.discovery_deadline}")
+        # a node made with the default memberships (SimWorld.new_node) must be reachable
+        dht_reaches = self.dht is not None and self.wan is not None
+        lans = [link for link in self.node_links or self.links if link != WAN_LINK]
+        if not (dht_reaches or self.mdns is not None and lans):
+            raise InvalidArgument(
+                "no enabled discovery backend reaches a node: the dht needs the wan, and "
+                "mdns a link other than the wan in node_links (or, when that is empty, links)"
+            )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
@@ -153,8 +168,6 @@ class SimWorld:
             self.backends.append(SimulatedDht(self.network, **_backend_timing(config.dht, "dht")))
         if config.mdns is not None:
             self.backends.append(SimulatedMdns(self.network, **_backend_timing(config.mdns, "mdns")))
-        if not self.backends:
-            raise InvalidArgument("sim config disables every discovery backend")
 
     @classmethod
     def load(cls, path: str) -> "SimWorld":

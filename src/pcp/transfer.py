@@ -30,7 +30,7 @@ from typing import Awaitable, BinaryIO, Callable
 
 from .auth import MAX_PLAINTEXT, SecureChannel
 from .errors import ConnectionLost, InvalidArgument, PcpError, ProtocolError
-from .kernel import WORKER, Scope, WaitTimeout
+from .kernel import Scope, WaitTimeout, submit
 
 logger = logging.getLogger("pcp.transfer")
 
@@ -413,7 +413,7 @@ async def receive_file(
                 if batched >= DIGEST_BATCH:
                     if hashing:
                         hashing.result()
-                    hashing = WORKER.submit(_hash_all, digest, batch)
+                    hashing = submit(_hash_all, digest, batch)
                     batch, batched = [], 0
                 received += len(data)
                 if progress:

@@ -112,6 +112,8 @@ MALFORMED_SIM_CONFIGS = {
     "mdns-unknown-field": '{"mdns": {"query_interval": 250}}',
     "link-named-wan": '{"wan": null, "links": {"wan": {}}}',
     "negative-start-time": '{"start_time": -5}',
+    "no-link-at-all": '{"links": {}, "wan": null}',
+    "mdns-only-on-the-wan": '{"dht": null, "node_links": ["wan"]}',
 }
 
 

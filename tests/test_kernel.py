@@ -1,7 +1,10 @@
 import inspect
+import os
+from concurrent import futures
 
 import pytest
 
+from pcp import kernel
 from pcp.kernel import (
     Event,
     Kernel,
@@ -438,3 +441,49 @@ def test_two_kernels_identical_interleaving():
         return log
 
     assert script(Kernel(seed=1)) == script(Kernel(seed=1))
+
+
+ALLOWED = sorted(os.sched_getaffinity(0))
+
+
+def _placement(cpus):
+    """Start a worker from a fresh thread limited to ``cpus``; the CPUs each thread may use."""
+
+    def start():
+        os.sched_setaffinity(0, cpus)
+        worker = kernel._start_worker()
+        try:
+            return worker.submit(os.sched_getaffinity, 0).result(), os.sched_getaffinity(0)
+        finally:
+            worker.shutdown()
+
+    with futures.ThreadPoolExecutor(max_workers=1) as starter:
+        return starter.submit(start).result(timeout=60)
+
+
+@pytest.mark.skipif(
+    len(ALLOWED) < 2, reason="fewer than 2 CPUs are allowed, so the worker has no other CPU"
+)
+def test_the_worker_runs_off_the_cpu_of_the_thread_that_starts_it(monkeypatch):
+    two, seen, read = set(ALLOWED[:2]), [], kernel._current_cpu
+
+    def recorded():
+        seen.append(read())
+        return seen[-1]
+
+    monkeypatch.setattr(kernel, "_current_cpu", recorded)
+    worker, starter = _placement(two)
+    assert seen and seen[0] in two
+    assert worker == two - {seen[0]}
+    assert starter == two
+
+
+def test_with_one_cpu_allowed_the_worker_is_left_where_it_starts():
+    one = {ALLOWED[0]}
+    assert _placement(one) == (one, one)
+
+
+def test_without_the_thread_stat_the_worker_is_left_where_it_starts(monkeypatch, tmp_path):
+    monkeypatch.setattr(kernel, "_THREAD_STAT", str(tmp_path / "missing"))
+    cpus = set(ALLOWED[:2])
+    assert _placement(cpus) == (cpus, cpus)
